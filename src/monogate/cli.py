@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -51,20 +50,8 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}") from exc
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("MG_NUM_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"MG_NUM_THREADS must be an integer, got {raw!r}")
-
-
 def _config(args, keys) -> dict:
-    cfg = {k: getattr(args, k) for k in keys if hasattr(args, k)}
-    cfg["threads"] = _threads()
-    return cfg
+    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
 def _validate_args(args) -> None:

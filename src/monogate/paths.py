@@ -115,6 +115,10 @@ class LineSegment:
     def reversed(self) -> "LineSegment":
         return LineSegment(self.end_point, self.start_point)
 
+    def piece(self, t0: float, t1: float) -> "LineSegment":
+        """The sub-segment traced for t in [t0, t1], reparametrized to [0, 1]."""
+        return LineSegment(self.at(t0), self.at(t1))
+
     def min_distance_to_point(self, s: complex) -> float:
         if self.dimension != 1:
             raise ValueError("point distance is defined for paths in C")
@@ -180,6 +184,10 @@ class ArcSegment:
 
     def reversed(self) -> "ArcSegment":
         return ArcSegment(self.center, self.amplitude, self.theta1, self.theta0)
+
+    def piece(self, t0: float, t1: float) -> "ArcSegment":
+        """The sub-arc traced for t in [t0, t1], reparametrized to [0, 1]."""
+        return ArcSegment(self.center, self.amplitude, self._theta(t0), self._theta(t1))
 
     def min_distance_to_point(self, s: complex) -> float:
         if self.dimension != 1:

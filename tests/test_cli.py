@@ -243,11 +243,13 @@ def test_order_below_one_rejected(tmp_path, capsys):
     assert ">= 1" in err
 
 
-def test_threads_env_recorded(capsys, monkeypatch):
-    monkeypatch.setenv("MG_NUM_THREADS", "2")
-    code, out, _ = run(capsys, "gate", "--name", "X")
+def test_threads_env_ignored(capsys, monkeypatch):
+    monkeypatch.delenv("MG_NUM_THREADS", raising=False)
+    code, plain, _ = run(capsys, "gate", "--name", "X")
     assert code == 0
-    assert json.loads(out)["config"]["threads"] == 2
-    monkeypatch.setenv("MG_NUM_THREADS", "bogus")
-    code, _, err = run(capsys, "gate", "--name", "X")
-    assert code == 1
+    assert "threads" not in json.loads(plain)["config"]
+    for value in ("2", "bogus"):
+        monkeypatch.setenv("MG_NUM_THREADS", value)
+        code, out, _ = run(capsys, "gate", "--name", "X")
+        assert code == 0
+        assert out == plain

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from monogate.fuchsian import (
@@ -22,12 +23,16 @@ from monogate.fuchsian import (
 )
 from monogate.gate_core import SIGMA_X, SIGMA_Z
 from monogate.matrices import frobenius, random_hermitian, random_su2
+from monogate import fuchsian
 from monogate.paths import (
+    ArcSegment,
     LineSegment,
     PiecewisePath,
+    PointsDivisor,
     concat,
     generator_loop,
     invert,
+    min_divisor_distance,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -134,6 +139,83 @@ def test_dimension_mismatch_rejected(unit_loop):
     conn = ConfigurationConnection(2, {(0, 1): np.eye(2)})
     with pytest.raises(ValueError):
         transport(conn, unit_loop, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Transport near the divisor.
+# ---------------------------------------------------------------------------
+
+NEAR_APPROACH = 1.4
+NEAR_RADIUS = 0.25
+
+
+def near_pole_loop(h, detour=None):
+    """Loop around the pole at 0 whose approach line passes the pole at 1 at height h.
+
+    The basepoint lies just below the real axis, NEAR_APPROACH from 0, on the
+    ray whose distance to 1 is h; the loop runs to the circle of radius
+    NEAR_RADIUS, once round it counterclockwise, and back.  With `detour`,
+    the way in and out bends through that point instead.
+    """
+    base = NEAR_APPROACH * np.exp(-1j * np.arcsin(h))
+    phi = float(np.angle(base))
+    foot = NEAR_RADIUS * np.exp(1j * phi)
+    stops = [base, foot] if detour is None else [base, detour, foot]
+    way_in = [LineSegment(np.array([a]), np.array([b])) for a, b in zip(stops, stops[1:])]
+    circle = ArcSegment(np.array([0j]), np.array([NEAR_RADIUS + 0j]), phi, phi + 2 * np.pi)
+    way_out = [seg.reversed() for seg in reversed(way_in)]
+    return PiecewisePath((*way_in, circle, *way_out))
+
+
+def test_near_pole_cost_grows_like_log(monkeypatch):
+    calls = []
+    contract = PointsConnection.contract
+
+    def counted(self, z, v):
+        calls.append(None)
+        return contract(self, z, v)
+
+    monkeypatch.setattr(PointsConnection, "contract", counted)
+    conn = PointsConnection((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
+    evals = {}
+    for h in (1e-2, 1e-4, 1e-6):
+        calls.clear()
+        m = transport(conn, near_pole_loop(h), 1e-10)
+        evals[h] = len(calls)
+    assert evals[1e-4] <= 3 * evals[1e-2], evals
+    assert abs(m[0, 0] - np.exp(2j * np.pi * 0.3)) <= 1e-10
+
+
+def test_uniform_clearance_segments_are_single_solves(monkeypatch):
+    solves = []
+    solve_ivp = fuchsian.solve_ivp
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", counted)
+    conn = PointsConnection((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
+    for loop in x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25):
+        transport(conn, loop, 1e-10)
+    assert len(solves) == 6
+    solves.clear()
+    transport(conn, near_pole_loop(1e-6), 1e-10)
+    assert 3 < len(solves) < 200
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), log_h=st.floats(-6.0, -1.0))
+def test_near_pole_transport_homotopy_invariant(seed, log_h):
+    rng = np.random.default_rng(seed)
+    a, b = (0.3 * g / np.linalg.norm(g) for g in
+            (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)))
+    assume(frobenius(a @ b - b @ a) > 1e-3)
+    conn = PointsConnection((0.0, 1.0), (a, b))
+    near = near_pole_loop(10.0 ** log_h)
+    far = near_pole_loop(10.0 ** log_h, detour=1.0 - 0.5j)
+    assert min_divisor_distance(far, PointsDivisor((1.0,))) >= 0.3
+    assert frobenius(transport(conn, near, 1e-10) - transport(conn, far, 1e-10)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

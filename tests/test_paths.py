@@ -138,6 +138,22 @@ def test_braid_clearance_analytic_matches_sampled():
 # Braid paths.
 # ---------------------------------------------------------------------------
 
+def test_pieces_are_exact_subsegments():
+    line = LineSegment(np.array([-1.0 - 1.0j]), np.array([2.0 + 0.5j]))
+    arc = ArcSegment(np.array([0.5j]), np.array([0.7 + 0j]), 0.3, 0.3 + 2 * np.pi)
+    divisor = PointsDivisor((0.0, 1.0 + 0.2j))
+    for seg in (line, arc):
+        left, right = seg.piece(0.0, 0.4), seg.piece(0.4, 1.0)
+        assert np.allclose(left.start_point, seg.at(0.0), atol=1e-15)
+        assert np.allclose(left.end_point, seg.at(0.4), atol=1e-15)
+        assert np.allclose(right.start_point, seg.at(0.4), atol=1e-15)
+        assert np.allclose(right.end_point, seg.at(1.0), atol=1e-15)
+        assert np.allclose(left.at(0.5), seg.at(0.2), atol=1e-15)
+        assert abs(left.max_speed() + right.max_speed() - seg.max_speed()) < 1e-12
+        both = min(divisor.segment_distance(left), divisor.segment_distance(right))
+        assert abs(both - divisor.segment_distance(seg)) < 1e-15
+
+
 def test_braid_generator_swaps_endpoints():
     path = braid_generator_path(2, 1)
     assert np.allclose(path.start, [1.0, 2.0])
