@@ -23,15 +23,13 @@ from scipy.linalg import expm
 
 from .fuchsian import ConfigurationConnection, integrability_check, transport
 from .matrices import as_square_matrix, frobenius, unitarity_defect
-from .paths import PiecewisePath, braid_word_path, pure_braid_word
+from .paths import PiecewisePath, braid_word_path, pure_braid_word, segment_log_increment
 
 __all__ = [
     "SpinModule",
     "KZSystem",
     "casimir_omega",
-    "casimir_omega_via_coproduct",
     "build_kz",
-    "two_point_solution",
     "log_increment",
     "two_point_transport_factor",
     "flip_operator",
@@ -121,19 +119,6 @@ def casimir_omega(vi: SpinModule, vj: SpinModule) -> np.ndarray:
     return out
 
 
-def casimir_omega_via_coproduct(vi: SpinModule, vj: SpinModule) -> np.ndarray:
-    """Same operator from (Delta c - c (x) 1 - 1 (x) c) / 2; cross-check route."""
-    dim = vi.dim * vj.dim
-    delta_c = np.zeros((dim, dim), dtype=complex)
-    for a, b in zip(vi.spin_triple(), vj.spin_triple()):
-        # images of the orthonormal basis elements are sqrt(2) * spin matrices
-        da = np.sqrt(2.0) * (np.kron(a, np.eye(vj.dim)) + np.kron(np.eye(vi.dim), b))
-        delta_c += da @ da
-    c_left = vi.casimir_value() * np.eye(dim)
-    c_right = vj.casimir_value() * np.eye(dim)
-    return (delta_c - c_left - c_right) / 2.0
-
-
 def _embed(op: np.ndarray, site: int, dims: list[int]) -> np.ndarray:
     """op acting on tensor factor `site` (0-based), identity elsewhere."""
     m = np.eye(1, dtype=complex)
@@ -202,29 +187,12 @@ def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
 # The closed-form two-point system.
 # ---------------------------------------------------------------------------
 
-def two_point_solution(omega, lam: complex, z, c, winding: int = 0) -> np.ndarray:
-    """F(z) = e^{(1/lambda) ln(z1 - z2) Omega} C on the principal branch,
-    shifted by 2 pi i `winding` for other sheets."""
-    omega = as_square_matrix(omega)
-    z1, z2 = complex(z[0]), complex(z[1])
-    if z1 == z2:
-        raise ValueError("two-point solution undefined on the diagonal z1 = z2")
-    log_w = np.log(z1 - z2) + 2j * np.pi * winding
-    return expm((log_w / lam) * omega) @ np.asarray(c, dtype=complex)
-
-
-def log_increment(path: PiecewisePath, i: int = 0, j: int = 1,
-                  samples_per_segment: int = 4096) -> complex:
-    """Continuous increment of log(z_i - z_j) along a configuration path."""
-    total = 0.0j
-    for seg in path.segments:
-        ts = np.linspace(0.0, 1.0, samples_per_segment + 1)
-        ws = np.array([complex(seg.at(t)[i] - seg.at(t)[j]) for t in ts])
-        if np.min(np.abs(ws)) == 0.0:
-            raise ValueError("path touches the diagonal z_i = z_j")
-        total += float(np.sum(np.angle(ws[1:] / ws[:-1]))) * 1j
-        total += np.log(abs(ws[-1])) - np.log(abs(ws[0]))
-    return total
+def log_increment(path: PiecewisePath, i: int = 0, j: int = 1) -> complex:
+    """Continuous increment of log(z_i - z_j) along a configuration path,
+    exact per segment: z_i - z_j traces a line, an arc or a point."""
+    return sum(
+        (segment_log_increment(seg.difference_curve(i, j), 0.0) for seg in path.segments), 0j
+    )
 
 
 def two_point_transport_factor(omega, lam: complex, path: PiecewisePath) -> np.ndarray:

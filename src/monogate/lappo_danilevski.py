@@ -3,28 +3,32 @@
 Given an analytic family of target monodromies rho_lambda(gamma_j) =
 1 + lambda M_1^j + lambda^2 M_2^j + ..., recover the coefficients U_k^j of a
 connection family Omega(lambda) = sum_k lambda^k sum_j U_k^j omega_j whose
-monodromy matches order by order.  The recursion is
+monodromy matches order by order.
+
+The monodromy of dF = Omega(lambda) F along gamma_j expands as
+F(1) = I + sum_k lambda^k F_k(1), and its truncated jet F_0 = I,
+F_r' = sum_{s<=r} Omega_s F_{r-s} is one linear ODE (`jet_monodromy`).  The
+order-k term is 2 pi i U_k^j plus Chen iterated integrals of the lower
+orders, by the loop normalization: the integral of omega_k over gamma_j is
+2 pi i when j = k and 0 otherwise.  So
 
     U_1^j = M_1^j / (2 pi i),
-    U_k^j = (M_k^j - sum over compositions k_1+...+k_q = k, q >= 2 of
-             the iterated integral of Omega_{k_1} ... Omega_{k_q} over
-             gamma_j) / (2 pi i),
+    U_k^j = (M_k^j - F_k(1)|_{U_k = 0}) / (2 pi i),
 
-which relies on the loop normalization: the integral of omega_k over gamma_j
-is 2 pi i when j = k and 0 otherwise.
+where F_k(1)|_{U_k = 0} is the jet of the partial family (orders below k,
+with U_k = 0 appended) around gamma_j: one jet solve per order and loop.
 
 Iterated-integral time ordering follows the Picard expansion of dF = Omega F:
-in a word the leftmost form is evaluated at the latest time.  The correction
-sums enumerate integer compositions exactly; each term is one triangular
-companion ODE driven by the same adaptive integrator as the forward
-transport.
+in a word the leftmost form is evaluated at the latest time.  Every solve
+goes through the adaptive integrator of the forward transport.  A connection
+family is one stacked (forms, orders, d*d) coefficient tensor, contracted
+with the vector of scalar form weights in one matmul.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +50,6 @@ __all__ = [
     "ConnectionFamily",
     "chen_integral",
     "matrix_chen_integral",
-    "compositions",
     "synthesize",
     "evaluate_at",
     "jet_monodromy",
@@ -77,11 +80,13 @@ class DifferenceForms:
 
     points: tuple[complex, ...]
     reference: complex | None = None
+    _point_vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(complex(a) for a in self.points))
         if self.reference is not None:
             object.__setattr__(self, "reference", complex(self.reference))
+        object.__setattr__(self, "_point_vector", np.array(self.points, dtype=complex))
 
     @property
     def count(self) -> int:
@@ -92,9 +97,10 @@ class DifferenceForms:
         pts = self.points if self.reference is None else self.points + (self.reference,)
         return PointsDivisor(pts)
 
-    def value(self, j: int, z: np.ndarray, v: np.ndarray) -> complex:
+    def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """All form values omega_j(z)(v) as one vector."""
         z0, v0 = complex(z[0]), complex(v[0])
-        w = v0 / (z0 - self.points[j])
+        w = v0 / (z0 - self._point_vector)
         if self.reference is not None:
             w -= v0 / (z0 - self.reference)
         return w
@@ -109,10 +115,18 @@ class ConfigurationForms:
     indexed by the lexicographic list of pairs i < j."""
 
     n: int
+    # First and second index of every pair, for `weights`.
+    _left: np.ndarray = field(init=False, repr=False, compare=False)
+    _right: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        left, right = np.triu_indices(self.n, k=1)
+        object.__setattr__(self, "_left", left)
+        object.__setattr__(self, "_right", right)
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
+        return list(zip(self._left.tolist(), self._right.tolist()))
 
     @property
     def count(self) -> int:
@@ -122,9 +136,10 @@ class ConfigurationForms:
     def divisor(self) -> DiagonalDivisor:
         return DiagonalDivisor(self.n)
 
-    def value(self, k: int, z: np.ndarray, v: np.ndarray) -> complex:
-        i, j = self.pairs[k]
-        return complex((v[i] - v[j]) / (z[i] - z[j]))
+    def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """All form values d log(z_i - z_j)(v) as one vector, in `pairs` order."""
+        i, j = self._left, self._right
+        return (v[i] - v[j]) / (z[i] - z[j])
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +161,7 @@ def chen_integral(forms, word, path: PiecewisePath, tol: float = 1e-10) -> compl
 
     def rhs_for(seg):
         def rhs(t, y):
-            z, v = seg.at(t), seg.velocity(t)
-            vals = np.array([forms.value(j, z, v) for j in rev])
+            vals = forms.weights(seg.at(t), seg.velocity(t))[rev]
             dy = np.empty(k, dtype=complex)
             dy[0] = vals[0]
             dy[1:] = vals[1:] * y[:-1]
@@ -186,13 +200,6 @@ def matrix_chen_integral(evaluators, path: PiecewisePath, tol: float, divisor, d
     y0 = np.zeros(q * dim * dim, dtype=complex)
     out = integrate_along(path, rhs_for, y0, tol, divisor)
     return out.reshape(q, dim, dim)[-1]
-
-
-def compositions(k: int, q: int):
-    """Ordered compositions of k into q positive parts."""
-    for cuts in combinations(range(1, k), q - 1):
-        bounds = (0,) + cuts + (k,)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +276,16 @@ class ConnectionFamily:
 
     forms: DifferenceForms | ConfigurationForms
     coefficients: tuple[tuple[np.ndarray, ...], ...]  # [generator][k-1]
+    # The coefficients as one (forms, orders, d*d) tensor, for `jet_monodromy`.
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(tuple(as_square_matrix(m) for m in gen) for gen in self.coefficients)
         if len(coeffs) != self.forms.count:
             raise ValueError("one coefficient series per form required")
         object.__setattr__(self, "coefficients", coeffs)
+        stack = np.array(coeffs, dtype=complex)
+        object.__setattr__(self, "_stack", stack.reshape(stack.shape[0], stack.shape[1], -1))
 
     @property
     def order(self) -> int:
@@ -296,18 +307,6 @@ class ConnectionFamily:
                 if b > 1e-14:
                     ratios.append(a / b)
         return float(min(ratios)) if ratios else np.inf
-
-    def omega_evaluator(self, k: int):
-        """(z, v) -> Omega_k contracted with v, for Omega_k = sum_j U_k^j omega_j."""
-        mats = [gen[k - 1] for gen in self.coefficients]
-
-        def evaluate(z, v):
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            for j, u in enumerate(mats):
-                out += u * self.forms.value(j, z, v)
-            return out
-
-        return evaluate
 
 
 def evaluate_at(family: ConnectionFamily, lam: complex):
@@ -333,15 +332,22 @@ def evaluate_at(family: ConnectionFamily, lam: complex):
 
 
 def _check_loop_normalization(forms, loops, tol):
+    """Integrate all forms over each loop at once (one vector ODE per loop)
+    and require the integral of omega_k over loop j to be 2 pi i delta_jk."""
+
+    def rhs_for(seg):
+        return lambda t, y: forms.weights(seg.at(t), seg.velocity(t))
+
     for j, loop in enumerate(loops):
-        for k in range(forms.count):
-            got = chen_integral(forms, [k], loop, tol)
-            want = TWO_PI_I if j == k else 0.0
-            if abs(got - want) > NORMALIZATION_TOL:
-                raise ValueError(
-                    f"loop {j+1} is not dual to form {k+1}: "
-                    f"integral {got:.6f}, expected {want:.6f}"
-                )
+        got = integrate_along(loop, rhs_for, np.zeros(forms.count, dtype=complex), tol, forms.divisor)
+        want = TWO_PI_I * np.eye(forms.count)[j]
+        bad = np.flatnonzero(np.abs(got - want) > NORMALIZATION_TOL)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"loop {j+1} is not dual to form {k+1}: "
+                f"integral {got[k]:.6f}, expected {want[k]:.6f}"
+            )
 
 
 def synthesize(targets: RepresentationFamily, forms, loops, order: int,
@@ -350,7 +356,8 @@ def synthesize(targets: RepresentationFamily, forms, loops, order: int,
 
     `loops` must be the generator loops dual to `forms` (integral of omega_k
     over loop j equal to 2 pi i delta_jk); this is verified numerically
-    before the recursion starts.
+    before the recursion starts.  Order k then costs one jet solve per loop:
+    the last jet of the partial family, with U_k = 0, is the correction.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -369,21 +376,13 @@ def synthesize(targets: RepresentationFamily, forms, loops, order: int,
                 stacklevel=2,
             )
 
-    dim = targets.dim
+    zero = np.zeros((targets.dim, targets.dim), dtype=complex)
     series: list[list[np.ndarray]] = [[] for _ in range(targets.generators)]
     for k in range(1, order + 1):
-        partial = ConnectionFamily(forms, tuple(tuple(gen) for gen in series)) if k > 1 else None
+        partial = ConnectionFamily(forms, tuple(tuple(gen) + (zero,) for gen in series))
         for j in range(targets.generators):
-            correction = np.zeros((dim, dim), dtype=complex)
-            if k > 1:
-                for q in range(2, k + 1):
-                    for parts in compositions(k, q):
-                        evaluators = [partial.omega_evaluator(p) for p in parts]
-                        correction += matrix_chen_integral(
-                            evaluators, loops[j], tol, forms.divisor, dim
-                        )
-            u = (targets.coefficients[j][k - 1] - correction) / TWO_PI_I
-            series[j].append(u)
+            correction = jet_monodromy(partial, loops[j], k, tol)[-1] if k > 1 else zero
+            series[j].append((targets.coefficients[j][k - 1] - correction) / TWO_PI_I)
     return ConnectionFamily(forms, tuple(tuple(gen) for gen in series))
 
 
@@ -397,20 +396,15 @@ def jet_monodromy(family: ConnectionFamily, loop: PiecewisePath, order: int,
     if order > family.order:
         raise ValueError("family is truncated below the requested order")
     dim = family.dim
-    evaluators = [family.omega_evaluator(k) for k in range(1, order + 1)]
-    eye = np.eye(dim, dtype=complex)
+    stack = family._stack[:, :order].reshape(family.forms.count, -1)
 
     def rhs_for(seg):
         def rhs(t, y):
-            z, v = seg.at(t), seg.velocity(t)
-            mats = [w(z, v) for w in evaluators]
+            omegas = (family.forms.weights(seg.at(t), seg.velocity(t)) @ stack).reshape(order, dim, dim)
             blocks = y.reshape(order, dim, dim)
-            out = np.empty_like(blocks)
-            for r in range(order):
-                acc = mats[r] @ eye
-                for s in range(r):
-                    acc = acc + mats[s] @ blocks[r - s - 1]
-                out[r] = acc
+            out = omegas.copy()
+            for r in range(1, order):
+                out[r] += (omegas[:r] @ blocks[r - 1::-1]).sum(axis=0)
             return out.reshape(-1)
 
         return rhs

@@ -26,6 +26,7 @@ __all__ = [
     "puncture_loops",
     "concat",
     "invert",
+    "segment_log_increment",
     "winding_number",
     "braid_generator_path",
     "braid_word_path",
@@ -41,7 +42,6 @@ __all__ = [
 JOINT_TOL = 1e-12
 CLOSURE_TOL = 1e-9
 DEFAULT_CLEARANCE = 0.05
-ORACLE_SAMPLES = 2048
 
 
 def _as_point(z) -> np.ndarray:
@@ -243,12 +243,6 @@ class PiecewisePath:
     def is_closed(self) -> bool:
         return float(np.linalg.norm(self.end - self.start)) <= CLOSURE_TOL
 
-    def sample(self, per_segment: int = ORACLE_SAMPLES) -> np.ndarray:
-        """Dense point samples along the whole path, shape (N, dim)."""
-        ts = np.linspace(0.0, 1.0, per_segment)
-        blocks = [np.stack([seg.at(t) for t in ts]) for seg in self.segments]
-        return np.concatenate(blocks)
-
 
 def concat(p: PiecewisePath, q: PiecewisePath) -> PiecewisePath:
     """Composite path traversing p first, then q."""
@@ -366,23 +360,39 @@ def puncture_loops(punctures, basepoint: complex, radius: float) -> list[Piecewi
     ]
 
 
-def winding_number(path: PiecewisePath, point: complex,
-                   samples_per_segment: int = ORACLE_SAMPLES) -> float:
-    """(1/2 pi) times the total argument increment of z - point along the path.
+def segment_log_increment(seg: Segment, point: complex) -> complex:
+    """Continuous increment of log(z - point) along a segment in C, in closed form.
 
-    Dense sampling keeps every increment below pi, so the sum is exact up to
-    floating point; for a closed path the result is an integer up to ~1e-6.
+    A line a -> b turns by less than pi about a point off it, so the increment
+    is the principal log of (b - p)/(a - p).  On an arc c + rho e^{i theta},
+    z - p = rho e^{i theta} (1 + w e^{-i theta}) with w = (c - p)/rho when p
+    is inside the circle, and (c - p)(1 + u e^{i theta}) with u = rho/(c - p)
+    when it is outside; |w|, |u| < 1 keep the principal log continuous.
     """
+    if seg.dimension != 1:
+        raise ValueError("log increments are defined for segments in C")
+    p = complex(point)
+    if seg.min_distance_to_point(p) == 0.0:
+        raise ValueError("path passes through the point")
+    if isinstance(seg, LineSegment):
+        return complex(np.log((seg.end_point[0] - p) / (seg.start_point[0] - p)))
+    c, rho = complex(seg.center[0]) - p, complex(seg.amplitude[0])
+    if abs(c) == abs(rho):
+        raise ValueError("arc circle passes through the point")
+    turns = np.exp(1j * np.array([seg.theta0, seg.theta1]))
+    if abs(c) < abs(rho):
+        logs = np.log(1.0 + (c / rho) / turns)
+        return complex(1j * (seg.theta1 - seg.theta0) + logs[1] - logs[0])
+    logs = np.log(1.0 + (rho / c) * turns)
+    return complex(logs[1] - logs[0])
+
+
+def winding_number(path: PiecewisePath, point: complex) -> float:
+    """(1/2 pi) times the total argument increment of z - point along the
+    path, exact per segment (`segment_log_increment`)."""
     if path.dimension != 1:
         raise ValueError("winding number is defined for paths in C")
-    total = 0.0
-    for seg in path.segments:
-        ts = np.linspace(0.0, 1.0, samples_per_segment + 1)
-        zs = np.array([complex(seg.at(t)[0]) for t in ts]) - complex(point)
-        if np.min(np.abs(zs)) == 0.0:
-            raise ValueError("path passes through the point")
-        total += float(np.sum(np.angle(zs[1:] / zs[:-1])))
-    return total / (2 * np.pi)
+    return sum(segment_log_increment(seg, point).imag for seg in path.segments) / (2 * np.pi)
 
 
 # ---------------------------------------------------------------------------

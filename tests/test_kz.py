@@ -10,10 +10,8 @@ from monogate.kz import (
     braid_word_matrix,
     build_kz,
     casimir_omega,
-    casimir_omega_via_coproduct,
     flip_operator,
     log_increment,
-    two_point_solution,
     two_point_transport_factor,
     unitarize_kz,
     unitarize_representation,
@@ -21,6 +19,7 @@ from monogate.kz import (
 )
 from monogate.matrices import frobenius, unitarity_defect
 from monogate.paths import LineSegment, PiecewisePath, braid_word_path
+from oracles import casimir_omega_via_coproduct, two_point_solution
 
 HALF = SpinModule(0.5)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from monogate import fuchsian
 from monogate.fuchsian import curvature_residual, transport
 from monogate.lappo_danilevski import (
     ConfigurationForms,
@@ -11,7 +12,6 @@ from monogate.lappo_danilevski import (
     DifferenceForms,
     RepresentationFamily,
     chen_integral,
-    compositions,
     connection_family_from_json,
     connection_family_to_json,
     evaluate_at,
@@ -25,6 +25,7 @@ from monogate.lappo_danilevski import (
 )
 from monogate.matrices import frobenius, random_hermitian, unitarity_defect
 from monogate.paths import braid_word_path, generator_loop, puncture_loops, pure_braid_word
+from oracles import composition_synthesize, compositions
 
 TWO_PI_I = 2j * np.pi
 RNG = np.random.default_rng(99)
@@ -99,7 +100,7 @@ def test_matrix_chen_matches_scalar_expansion(line_forms):
     loop = generator_loop(0.5 - 1.5j, 0.0, 0.3, avoid=(1.0,))
 
     def omega(z, v):
-        return u[0] * line_forms.value(0, z, v) + u[1] * line_forms.value(1, z, v)
+        return u[0] * line_forms.weights(z, v)[0] + u[1] * line_forms.weights(z, v)[1]
 
     direct = matrix_chen_integral([omega, omega], loop, 1e-11, line_forms.divisor, 2)
     expansion = np.zeros((2, 2), dtype=complex)
@@ -159,6 +160,65 @@ def test_single_generator_exponential_series():
     assert frobenius(fam.coefficients[0][0] - h) < 1e-10
     assert frobenius(fam.coefficients[0][1]) < 1e-10
     assert frobenius(fam.coefficients[0][2]) < 1e-9
+
+
+def oracle_cases():
+    """(forms, loops, dim, order): both reference kinds, m = 3 with d = 4 at
+    K = 5, and the diagonal arrangement on pure-braid loops."""
+    config = ConfigurationForms(3)
+    return {
+        "dlog": (DifferenceForms((0.0, 1.0)), puncture_loops([0.0, 1.0], 0.5 - 1.5j, 0.3), 2, 4),
+        "reference_m3_d4": (
+            DifferenceForms((0.0, 1.0, 2.0), reference=1.0 + 2.0j),
+            puncture_loops([0.0, 1.0, 2.0], 1.0 - 1.5j, 0.3),
+            4,
+            5,
+        ),
+        "configuration": (
+            config,
+            [braid_word_path(3, pure_braid_word(3, i + 1, j + 1)) for (i, j) in config.pairs],
+            2,
+            4,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["dlog", "reference_m3_d4", "configuration"])
+def test_synthesize_matches_composition_sum(case):
+    # the jet solve and the explicit composition sum are the same series
+    forms, loops, dim, order = oracle_cases()[case]
+    rng = np.random.default_rng(70)
+    targets = RepresentationFamily(tuple(
+        tuple(random_hermitian(dim, rng, norm_bound=2.0) for _ in range(order))
+        for _ in range(forms.count)
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = np.array(synthesize(targets, forms, loops, order).coefficients)
+    want = np.array(composition_synthesize(targets, forms, loops, order).coefficients)
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_synthesis_cost_is_linear_in_order(order, line_forms, line_loops, monkeypatch):
+    # 3 segments per loop: the normalization check takes 3m solves and each
+    # order k >= 2 one jet solve per loop, 3m(K - 1); m = 2 gives 6K
+    calls = []
+    solve_ivp = fuchsian.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", counting)
+    rng = np.random.default_rng(71)
+    targets = RepresentationFamily.exponential_targets(
+        [small_hermitian(rng), small_hermitian(rng)], order
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        synthesize(targets, line_forms, line_loops, order, tol=1e-10)
+    assert len(calls) == 6 * order
 
 
 def test_loop_normalization_verified(line_forms):

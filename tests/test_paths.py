@@ -20,12 +20,14 @@ from monogate.paths import (
     permutation_of_word,
     puncture_loops,
     pure_braid_word,
+    segment_log_increment,
     winding_number,
 )
+from oracles import sample_path
 
 
 def sampled_divisor_distance(path, divisor, per_segment=2000):
-    pts = path.sample(per_segment)
+    pts = sample_path(path, per_segment)
     return min(divisor.point_distance(p) for p in pts)
 
 
@@ -58,6 +60,30 @@ def test_winding_numbers_are_near_integers():
         loop = generator_loop(base, 0.0, rng.uniform(0.2, 0.8))
         w = winding_number(loop, 0.0)
         assert abs(w - round(w)) < 1e-6
+
+
+def test_winding_number_exact_next_to_the_arc():
+    # 1e-7 inside or outside the unit circle, between the arc and any
+    # 2048-sample polygon inscribed in it
+    circle = PiecewisePath((ArcSegment(np.array([0.0]), np.array([1.0 + 0j]), 0.0, 2 * np.pi),))
+    tilt = np.exp(1j * np.pi / 2048)
+    assert winding_number(circle, (1 - 1e-7) * tilt) == pytest.approx(1.0, abs=1e-12)
+    assert winding_number(circle, (1 + 1e-7) * tilt) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_segment_log_increment_closed_forms():
+    line = LineSegment(np.array([2.0 + 0j]), np.array([1j]))
+    assert segment_log_increment(line, 0.0) == pytest.approx(np.log(0.5) + 0.5j * np.pi, abs=1e-15)
+    arc = ArcSegment(np.array([1.0 + 0j]), np.array([0.5 + 0j]), 0.0, 3 * np.pi)
+    assert segment_log_increment(arc, 1.2) == pytest.approx(np.log(0.7 / 0.3) + 3j * np.pi, abs=1e-13)
+    assert segment_log_increment(arc, 5.0).real == pytest.approx(np.log(4.5 / 3.5), abs=1e-15)
+    assert segment_log_increment(arc, 5.0).imag == pytest.approx(0.0, abs=1e-15)
+    point = LineSegment(np.array([1.0 + 1j]), np.array([1.0 + 1j]))
+    assert segment_log_increment(point, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        segment_log_increment(arc, 1.5)  # on the arc
+    with pytest.raises(ValueError):
+        segment_log_increment(line, 2.0)  # at an end
 
 
 def test_concat_with_inverse_has_zero_winding():
@@ -163,14 +189,14 @@ def test_braid_generator_swaps_endpoints():
 def test_braid_pair_separation_is_one():
     # the two half-circles stay diametrically opposite
     path = braid_generator_path(2, 1)
-    seps = [abs(p[0] - p[1]) for p in path.sample(500)]
+    seps = [abs(p[0] - p[1]) for p in sample_path(path, 500)]
     assert abs(min(seps) - 1.0) < 1e-12
     assert abs(max(seps) - 1.0) < 1e-12
 
 
 def test_braid_spectator_coordinate_constant():
     path = braid_generator_path(3, 1)
-    assert all(abs(p[2] - 3.0) < 1e-12 for p in path.sample(200))
+    assert all(abs(p[2] - 3.0) < 1e-12 for p in sample_path(path, 200))
 
 
 def test_braid_square_closes():
