@@ -1,10 +1,14 @@
 """Parallel transport and monodromy of logarithmic connections.
 
-A connection here is a matrix-valued 1-form with first-order poles, in one of
-three shapes: simple poles in C (residues A_j at points s_j), the diagonal
-arrangement in C^n (matrices O_ij against d log(z_i - z_j)), or difference
-forms on a punctured line (coefficients U^j against dz/(z-a_j) minus the same
-at a reference point).
+A connection here is a matrix-valued 1-form with first-order poles,
+Omega = sum_k C_k omega_k: a fixed system of m scalar logarithmic forms
+omega_k against one stacked (m, d*d) tensor of coefficients C_k, evaluated
+as (weights of the forms) @ (stack).  Two form systems cover every variant:
+`DifferenceForms`, dz/(z - a_j) minus the same at a reference point (at
+infinity for simple poles), and `ConfigurationForms`, d log(z_i - z_j) on the
+configuration space of n points.  The variants `PointsConnection`,
+`DifferencesConnection` and `ConfigurationConnection` differ only in how
+their coefficients are named and serialized.
 
 Transport solves dF = Omega(gamma(t)) gamma'(t) F dt with F(start) = I by an
 adaptive embedded Runge-Kutta scheme (DOP853), one solve per piece of the
@@ -21,6 +25,7 @@ the basepoint below it (see `x4_generator_loops`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +48,8 @@ __all__ = [
     "TransportError",
     "DefectiveMatrixError",
     "BranchCutError",
+    "DifferenceForms",
+    "ConfigurationForms",
     "PointsConnection",
     "ConfigurationConnection",
     "DifferencesConnection",
@@ -91,40 +98,29 @@ class BranchCutError(NumericsError):
 
 
 # ---------------------------------------------------------------------------
-# Connection variants.
+# Scalar form systems.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PointsConnection:
-    """Omega = sum_j A_j dz / (z - s_j) on C minus the poles."""
+class DifferenceForms:
+    """omega_j = dz/(z - a_j) - dz/(z - a_ref) on a punctured line.
 
-    poles: tuple[complex, ...]
-    residues: tuple[np.ndarray, ...]
-    regular_at_infinity: bool = False
-    # Poles as one vector and residues as one (m, d*d) matrix, for `contract`.
-    _pole_vector: np.ndarray = field(init=False, repr=False, compare=False)
-    _residue_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    reference=None puts the reference puncture at infinity (plain dlog forms).
+    """
+
+    points: tuple[complex, ...]
+    reference: complex | None = None
+    _point_vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        poles = tuple(complex(s) for s in self.poles)
-        res = tuple(as_square_matrix(a) for a in self.residues)
-        if len(poles) != len(res):
-            raise ValueError("one residue matrix per pole required")
-        if res and any(a.shape != res[0].shape for a in res):
-            raise ValueError("all residues must share one dimension")
-        if self.regular_at_infinity and res:
-            total = frobenius(sum(res))
-            if total > 1e-12:
-                raise ValueError(f"residues do not sum to zero (norm {total:.3e})")
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "residues", res)
-        object.__setattr__(self, "_pole_vector", np.array(poles, dtype=complex))
-        object.__setattr__(self, "_residue_stack",
-                           np.array(res, dtype=complex).reshape(len(res), self.dim ** 2))
+        object.__setattr__(self, "points", tuple(complex(a) for a in self.points))
+        if self.reference is not None:
+            object.__setattr__(self, "reference", complex(self.reference))
+        object.__setattr__(self, "_point_vector", np.array(self.points, dtype=complex))
 
     @property
-    def dim(self) -> int:
-        return self.residues[0].shape[0] if self.residues else 1
+    def count(self) -> int:
+        return len(self.points)
 
     @property
     def ambient(self) -> int:
@@ -132,41 +128,43 @@ class PointsConnection:
 
     @property
     def divisor(self) -> PointsDivisor:
-        return PointsDivisor(self.poles)
+        pts = self.points if self.reference is None else self.points + (self.reference,)
+        return PointsDivisor(pts)
 
-    def contract(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        weights = complex(v[0]) / (complex(z[0]) - self._pole_vector)
-        return (weights @ self._residue_stack).reshape(self.dim, self.dim)
+    def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """All form values omega_j(z)(v) as one vector."""
+        z0, v0 = complex(z[0]), complex(v[0])
+        w = v0 / (z0 - self._point_vector)
+        if self.reference is not None:
+            w -= v0 / (z0 - self.reference)
+        return w
+
+    def connection(self, coefficients) -> "DifferencesConnection":
+        return DifferencesConnection(self.points, tuple(coefficients), reference=self.reference)
 
 
 @dataclass(frozen=True)
-class ConfigurationConnection:
-    """Omega = sum_{i<j} O_ij d log(z_i - z_j) on the configuration space of n points."""
+class ConfigurationForms:
+    """The forms d log(z_i - z_j) on the configuration space of n points,
+    indexed by the lexicographic list of pairs i < j."""
 
     n: int
-    terms: dict = field(default_factory=dict)  # {(i, j) 0-based, i < j: matrix}
+    # First and second index of every pair, for `weights`.
+    _left: np.ndarray = field(init=False, repr=False, compare=False)
+    _right: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("configuration connection needs n >= 2")
-        terms = {}
-        dim = None
-        for (i, j), m in self.terms.items():
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad index pair ({i}, {j}) for n={self.n}")
-            m = as_square_matrix(m)
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise ValueError("all matrices must share one dimension")
-            terms[(i, j)] = m
-        object.__setattr__(self, "terms", terms)
+        left, right = np.triu_indices(self.n, k=1)
+        object.__setattr__(self, "_left", left)
+        object.__setattr__(self, "_right", right)
 
     @property
-    def dim(self) -> int:
-        for m in self.terms.values():
-            return m.shape[0]
-        return 1
+    def pairs(self) -> list[tuple[int, int]]:
+        return list(zip(self._left.tolist(), self._right.tolist()))
+
+    @property
+    def count(self) -> int:
+        return self.n * (self.n - 1) // 2
 
     @property
     def ambient(self) -> int:
@@ -176,21 +174,116 @@ class ConfigurationConnection:
     def divisor(self) -> DiagonalDivisor:
         return DiagonalDivisor(self.n)
 
+    def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """All form values d log(z_i - z_j)(v) as one vector, in `pairs` order."""
+        i, j = self._left, self._right
+        return (v[i] - v[j]) / (z[i] - z[j])
+
+    def connection(self, coefficients) -> "ConfigurationConnection":
+        return ConfigurationConnection(self.n, dict(zip(self.pairs, coefficients)))
+
+
+# ---------------------------------------------------------------------------
+# Connection variants.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _StackedConnection:
+    """Omega = sum_k C_k omega_k: scalar forms against one coefficient stack.
+
+    `_stack` holds C_k as row k of an (m, d*d) array, the only copy of the
+    coefficients; the matrices a variant exposes are read-only views of it.
+    """
+
+    forms: DifferenceForms | ConfigurationForms = field(init=False, repr=False, compare=False)
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def _store(self, forms, rows, dim: int) -> np.ndarray:
+        """Stack (k, C_k) pairs once, zero where no C_k is given; returns
+        the (m, d, d) view."""
+        stack = np.zeros((forms.count, dim, dim), dtype=complex)
+        for k, m in rows:
+            stack[k] = m
+        stack.setflags(write=False)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "_stack", stack.reshape(forms.count, dim * dim))
+        return stack
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self._stack.shape[1])
+
+    @property
+    def ambient(self) -> int:
+        return self.forms.ambient
+
+    @property
+    def divisor(self):
+        return self.forms.divisor
+
+    def contract(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        d = self.dim
+        return (self.forms.weights(z, v) @ self._stack).reshape(d, d)
+
+
+def _same_dim(mats, what: str) -> int:
+    if mats and any(m.shape != mats[0].shape for m in mats):
+        raise ValueError(f"all {what} must share one dimension")
+    return mats[0].shape[0] if mats else 1
+
+
+@dataclass(frozen=True)
+class PointsConnection(_StackedConnection):
+    """Omega = sum_j A_j dz / (z - s_j) on C minus the poles."""
+
+    poles: tuple[complex, ...]
+    residues: tuple[np.ndarray, ...]
+    regular_at_infinity: bool = False
+
+    def __post_init__(self):
+        poles = tuple(complex(s) for s in self.poles)
+        res = tuple(as_square_matrix(a) for a in self.residues)
+        if len(poles) != len(res):
+            raise ValueError("one residue matrix per pole required")
+        dim = _same_dim(res, "residues")
+        if self.regular_at_infinity and res:
+            total = frobenius(sum(res))
+            if total > 1e-12:
+                raise ValueError(f"residues do not sum to zero (norm {total:.3e})")
+        stack = self._store(DifferenceForms(poles), enumerate(res), dim)
+        object.__setattr__(self, "poles", poles)
+        object.__setattr__(self, "residues", tuple(stack))
+
+
+@dataclass(frozen=True)
+class ConfigurationConnection(_StackedConnection):
+    """Omega = sum_{i<j} O_ij d log(z_i - z_j) on the configuration space of n points."""
+
+    n: int
+    terms: dict = field(default_factory=dict)  # {(i, j) 0-based, i < j: matrix}
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("configuration connection needs n >= 2")
+        for i, j in self.terms:
+            if not (0 <= i < j < self.n):
+                raise ValueError(f"bad index pair ({i}, {j}) for n={self.n}")
+        mats = [as_square_matrix(m) for m in self.terms.values()]
+        dim = _same_dim(mats, "matrices")
+        forms = ConfigurationForms(self.n)
+        row = {pair: k for k, pair in enumerate(forms.pairs)}
+        stack = self._store(forms, ((row[pair], m) for pair, m in zip(self.terms, mats)), dim)
+        object.__setattr__(self, "terms", {pair: stack[row[pair]] for pair in self.terms})
+
     def matrix(self, i: int, j: int) -> np.ndarray:
         if i > j:
             i, j = j, i
         got = self.terms.get((i, j))
         return got if got is not None else np.zeros((self.dim, self.dim), dtype=complex)
 
-    def contract(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (i, j), m in self.terms.items():
-            out += m * ((v[i] - v[j]) / (z[i] - z[j]))
-        return out
-
 
 @dataclass(frozen=True)
-class DifferencesConnection:
+class DifferencesConnection(_StackedConnection):
     """Omega = sum_j U^j (dz/(z - a_j) - dz/(z - a_ref)) on a punctured line.
 
     reference=None places the reference puncture at infinity, dropping the
@@ -200,35 +293,16 @@ class DifferencesConnection:
     points: tuple[complex, ...]
     coefficients: tuple[np.ndarray, ...]
     reference: complex | None = None
-    _points_form: PointsConnection = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = tuple(complex(a) for a in self.points)
+        forms = DifferenceForms(self.points, self.reference)
         coeffs = tuple(as_square_matrix(u) for u in self.coefficients)
-        if len(pts) != len(coeffs):
+        if forms.count != len(coeffs):
             raise ValueError("one coefficient matrix per puncture required")
-        if coeffs and any(u.shape != coeffs[0].shape for u in coeffs):
-            raise ValueError("all coefficients must share one dimension")
-        ref = None if self.reference is None else complex(self.reference)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "reference", ref)
-        object.__setattr__(self, "_points_form", self.as_points_connection())
-
-    @property
-    def dim(self) -> int:
-        return self.coefficients[0].shape[0] if self.coefficients else 1
-
-    @property
-    def ambient(self) -> int:
-        return 1
-
-    @property
-    def divisor(self) -> PointsDivisor:
-        return self._points_form.divisor
-
-    def contract(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self._points_form.contract(z, v)
+        stack = self._store(forms, enumerate(coeffs), _same_dim(coeffs, "coefficients"))
+        object.__setattr__(self, "points", forms.points)
+        object.__setattr__(self, "coefficients", tuple(stack))
+        object.__setattr__(self, "reference", forms.reference)
 
     def as_points_connection(self) -> PointsConnection:
         """Equivalent simple-pole form (adds the reference pole if finite)."""

@@ -83,9 +83,6 @@ class QuantumGate:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "QuantumGate":
-        return QuantumGate(self.matrix.conj().T, self.qubits, self.unitarity_tol)
-
 
 @dataclass(frozen=True)
 class QubitState:

@@ -15,13 +15,13 @@ sign in the exponent is a convention choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
 
-from .fuchsian import ConfigurationConnection, integrability_check, transport
+from .fuchsian import ConfigurationConnection, NumericsError, integrability_check, transport
 from .matrices import as_square_matrix, frobenius, unitarity_defect
 from .paths import PiecewisePath, braid_word_path, pure_braid_word, segment_log_increment
 
@@ -35,7 +35,6 @@ __all__ = [
     "flip_operator",
     "braid_matrix",
     "braid_word_matrix",
-    "unitarize_representation",
     "unitarize_kz",
     "total_spin_operators",
     "UnitarizationResult",
@@ -134,6 +133,11 @@ class KZSystem:
     modules: tuple[SpinModule, ...]
     lam: complex
     omegas: dict  # {(i, j) 0-based, i < j: operator on the full tensor product}
+    _connection: ConfigurationConnection = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms = {pair: m / self.lam for pair, m in self.omegas.items()}
+        object.__setattr__(self, "_connection", ConfigurationConnection(self.n, terms))
 
     @property
     def n(self) -> int:
@@ -152,9 +156,8 @@ class KZSystem:
         return self.omegas[(i, j)]
 
     def connection(self) -> ConfigurationConnection:
-        """The flat connection with residues O_ij / lambda."""
-        terms = {pair: m / self.lam for pair, m in self.omegas.items()}
-        return ConfigurationConnection(self.n, terms)
+        """The flat connection with residues O_ij / lambda, built once."""
+        return self._connection
 
 
 def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
@@ -252,13 +255,16 @@ class UnitarizationResult:
 
     The monodromy matrices live in the frame of the fundamental solution at
     the basepoint, which is not orthonormal for the invariant inner product;
-    they satisfy B† H B = H.  When H is definite, `matrices` are the
-    conjugates H^{1/2} B H^{-1/2} and `radical_dim` is 0.  At special
-    couplings (integer-level points such as lambda = 3 for spin 1/2) the
-    maximal invariant form degenerates; its radical is an invariant subspace,
-    and `matrices` then act unitarily on the quotient of dimension
-    dim - radical_dim.  `defect` is the worst unitarity defect afterwards:
-    the numerical witness that the representation is unitarizable.
+    they satisfy B† H B = H.  Each multiplicity block of the KZ gates has one
+    invariant Hermitian form up to scale, so H is that form per block, signed
+    so its largest eigenvalue is 1 (blocks whose form is indefinite die and
+    contribute 0).  When H is definite, `matrices` are the conjugates
+    H^{1/2} B H^{-1/2} and `radical_dim` is 0.  At special couplings
+    (integer-level points such as lambda = 3 for spin 1/2) the form
+    degenerates; its radical is an invariant subspace, and `matrices` then act
+    unitarily on the quotient of dimension dim - radical_dim.  `defect` is the
+    worst unitarity defect afterwards: the numerical witness that the
+    representation is unitarizable.
     """
 
     form: np.ndarray
@@ -280,133 +286,44 @@ def _hermitian_kernel_basis(mats) -> list[np.ndarray]:
         a = row.reshape(dim, dim, order="F")
         candidates.append((a + a.conj().T) / 2.0)
         candidates.append((a - a.conj().T) / 2j)
-    stacked = np.stack([c.reshape(-1) for c in candidates])
-    # the kernel is conjugation-stable, so Hermitian parts span its Hermitian slice
-    u, sv, _ = np.linalg.svd(stacked.T, full_matrices=False)
+    # the kernel is conjugation-stable, so Hermitian parts span its Hermitian
+    # slice; a real SVD of their real and imaginary parts keeps the basis Hermitian
+    stacked = np.stack([c.reshape(-1) for c in candidates]).view(float)
+    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
     keep = sv > max(sv[0], 1.0) * 1e-10
-    return [u[:, k].reshape(dim, dim) for k in range(len(sv)) if keep[k]]
-
-
-def _most_definite_form(basis, dim: int) -> tuple[np.ndarray, float]:
-    """Maximize the smallest eigenvalue over the unit sphere of the form space.
-
-    Supergradient ascent with softmin weights over the low eigenvalue cluster
-    (the minimum is typically degenerate because the forms are block-scalar
-    on isotypic components).  Returns the best form and its min eigenvalue.
-    """
-
-    def assemble(x):
-        h = sum(c * b for c, b in zip(x, basis))
-        return (h + h.conj().T) / 2.0
-
-    vec_i = np.eye(dim, dtype=complex).reshape(-1)
-    starts = [np.array([np.vdot(b.reshape(-1), vec_i).real for b in basis])]
-    rng = np.random.default_rng(12345)
-    starts.append(rng.standard_normal(len(basis)))
-    best_x, best_val = None, -np.inf
-    for x in starts:
-        if np.linalg.norm(x) < 1e-14:
-            continue
-        for sign in (1.0, -1.0):
-            y = sign * x / np.linalg.norm(x)
-            step = 0.3
-            for it in range(400):
-                h = assemble(y)
-                evals, vecs = np.linalg.eigh(h)
-                if evals[0] > best_val:
-                    best_x, best_val = y, evals[0]
-                spread = max(evals[-1] - evals[0], 1e-12)
-                tau = max(spread * 0.2 * (0.99**it), 1e-8)
-                wts = np.exp(-(evals - evals[0]) / tau)
-                wts /= wts.sum()
-                grad = np.array(
-                    [sum(wts[i] * np.vdot(vecs[:, i], b @ vecs[:, i]).real for i in range(dim)) for b in basis]
-                )
-                grad -= (grad @ y) * y
-                gn = np.linalg.norm(grad)
-                if gn < 1e-14:
-                    break
-                y = y + step * grad / gn * min(1.0, spread)
-                y /= np.linalg.norm(y)
-                step *= 0.995
-    return assemble(best_x), best_val
-
-
-def _psd_form_in_span(basis, h_start: np.ndarray) -> np.ndarray | None:
-    """Alternating projections between the form subspace and the PSD cone.
-
-    Returns None when the intersection is {0} (only indefinite forms exist).
-    """
-    span = np.stack([b.reshape(-1) for b in basis])
-    evals, vecs = np.linalg.eigh(h_start)
-    h = (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
-    for _ in range(2000):
-        coeffs = (span.conj() @ h.reshape(-1)).real
-        h_proj = sum(c * b for c, b in zip(coeffs, basis))
-        h_proj = (h_proj + h_proj.conj().T) / 2.0
-        evals, vecs = np.linalg.eigh(h_proj)
-        h_next = (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
-        done = frobenius(h_next - h) < 1e-15 * max(frobenius(h), 1e-30)
-        h = h_next
-        if done:
-            break
-    norm = np.linalg.eigvalsh(h)[-1]
-    if norm < 1e-10:
-        return None
-    return h / norm
+    return [vh[k].view(complex).reshape(dim, dim) for k in range(len(sv)) if keep[k]]
 
 
 def _unitarize_block(mats, rank_cut: float):
     """Unitarize one multiplicity block: returns (form, kept matrices, radical).
 
-    A block with no nonzero positive semidefinite invariant form dies whole
-    (kept matrices None, radical = block size, zero form).
+    A multiplicity block carries one invariant Hermitian form up to scale
+    (Schur's lemma); more than one raises `NumericsError`.  The form is
+    signed and scaled so that its eigenvalue of largest magnitude is 1, and
+    the block is quotiented by the eigenvectors with eigenvalue <= rank_cut.
+    A block whose form is indefinite, or which has no invariant form, dies
+    whole (kept matrices None, radical = block size, zero form).
     """
     mu = mats[0].shape[0]
     try:
         basis = _hermitian_kernel_basis(mats)
     except ValueError:
         return np.zeros((mu, mu), dtype=complex), None, mu
-    h, lam_min = _most_definite_form(basis, mu)
-    h = h / np.linalg.eigvalsh(h)[-1]
-    if lam_min <= rank_cut:
-        h = _psd_form_in_span(basis, h)
-        if h is None:
-            return np.zeros((mu, mu), dtype=complex), None, mu
+    if len(basis) != 1:
+        raise NumericsError(
+            f"a {mu}-dimensional block has {len(basis)} invariant Hermitian forms, not one"
+        )
+    h = basis[0]
+    evals = np.linalg.eigvalsh(h)
+    h = h / evals[np.argmax(np.abs(evals))]
     evals, vecs = np.linalg.eigh(h)
+    if evals[0] < -rank_cut:
+        return np.zeros((mu, mu), dtype=complex), None, mu
     keep = evals > rank_cut
-    radical = int(np.sum(~keep))
-    if not np.any(keep):
-        return h, None, mu
     v_keep = vecs[:, keep]
     d_root = np.sqrt(evals[keep])
     kept = tuple((v_keep * d_root).conj().T @ b @ (v_keep / d_root) for b in mats)
-    return h, kept, radical
-
-
-def unitarize_representation(mats, rank_cut: float = 1e-7) -> UnitarizationResult:
-    """Conjugate a unitarizable representation into a unitary frame.
-
-    Generic entry point: finds the most definite invariant Hermitian form and
-    conjugates by its square root.  Raises when only a degenerate form exists;
-    for KZ braid gates use `unitarize_kz`, which resolves those couplings by
-    quotienting per isotypic block."""
-    mats = [as_square_matrix(m) for m in mats]
-    dim = mats[0].shape[0]
-    basis = _hermitian_kernel_basis(mats)
-    h, lam_min = _most_definite_form(basis, dim)
-    h = h / np.linalg.eigvalsh(h)[-1]
-    if lam_min <= rank_cut:
-        raise ValueError(
-            "the maximal invariant form is degenerate (null vectors); "
-            "no positive definite invariant form exists"
-        )
-    evals, vecs = np.linalg.eigh(h)
-    root = (vecs * np.sqrt(evals)) @ vecs.conj().T
-    root_inv = (vecs / np.sqrt(evals)) @ vecs.conj().T
-    conjugated = tuple(root @ b @ root_inv for b in mats)
-    defect = max(unitarity_defect(b) for b in conjugated)
-    return UnitarizationResult(h, conjugated, defect, 0)
+    return h, kept, int(np.sum(~keep))
 
 
 def total_spin_operators(sys: KZSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -451,12 +368,16 @@ def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10,
     """Unitarizability witness for KZ braid gates: unitarize blockwise.
 
     The braid matrices commute with the global sl2 action, so they split into
-    multiplicity blocks over the isotypic components.  Each small block gets
-    its own invariant form; blocks whose maximal form degenerates (integer
-    levels, e.g. lambda = 3 for spin 1/2 where null vectors appear) are
-    quotiented by the form's radical.  Returns the assembled quotient rep,
-    the positive semidefinite form on the original space, the worst unitarity
-    defect, and the radical dimension."""
+    multiplicity blocks over the isotypic components.  Each block carries a
+    unique invariant Hermitian form up to scale (Schur's lemma), found as the
+    one-dimensional Hermitian kernel of B† H B = H; no optimization is
+    involved, and a block with more than one form raises `NumericsError`.
+    A block whose form is indefinite dies whole; one whose form degenerates
+    (integer levels, e.g. lambda = 3 for spin 1/2 where null vectors appear)
+    is quotiented by the form's radical.  Returns the assembled quotient rep,
+    block diagonal in `_isotypic_towers` order, the positive semidefinite form
+    on the original space, the worst unitarity defect, and the radical
+    dimension."""
     if mats is None:
         mats = [braid_matrix(sys, i, tol) for i in range(1, sys.n)]
     mats = [as_square_matrix(m) for m in mats]

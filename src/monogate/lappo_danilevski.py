@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fuchsian import DifferencesConnection, integrate_along, transport
+from .fuchsian import ConfigurationForms, DifferenceForms, integrate_along, transport
 from .matrices import (
     as_square_matrix,
     complex_from_json,
@@ -41,7 +41,7 @@ from .matrices import (
     matrix_from_json,
     matrix_to_json,
 )
-from .paths import PiecewisePath, PointsDivisor, DiagonalDivisor
+from .paths import PiecewisePath
 
 __all__ = [
     "DifferenceForms",
@@ -65,81 +65,6 @@ __all__ = [
 TWO_PI_I = 2j * np.pi
 SMALL_LAMBDA = 0.1
 NORMALIZATION_TOL = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Scalar 1-form systems.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DifferenceForms:
-    """omega_j = dz/(z - a_j) - dz/(z - a_ref) on a punctured line.
-
-    reference=None puts the reference puncture at infinity (plain dlog forms).
-    """
-
-    points: tuple[complex, ...]
-    reference: complex | None = None
-    _point_vector: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(complex(a) for a in self.points))
-        if self.reference is not None:
-            object.__setattr__(self, "reference", complex(self.reference))
-        object.__setattr__(self, "_point_vector", np.array(self.points, dtype=complex))
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-    @property
-    def divisor(self) -> PointsDivisor:
-        pts = self.points if self.reference is None else self.points + (self.reference,)
-        return PointsDivisor(pts)
-
-    def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """All form values omega_j(z)(v) as one vector."""
-        z0, v0 = complex(z[0]), complex(v[0])
-        w = v0 / (z0 - self._point_vector)
-        if self.reference is not None:
-            w -= v0 / (z0 - self.reference)
-        return w
-
-    def connection(self, coefficients) -> DifferencesConnection:
-        return DifferencesConnection(self.points, tuple(coefficients), reference=self.reference)
-
-
-@dataclass(frozen=True)
-class ConfigurationForms:
-    """The forms d log(z_i - z_j) on the configuration space of n points,
-    indexed by the lexicographic list of pairs i < j."""
-
-    n: int
-    # First and second index of every pair, for `weights`.
-    _left: np.ndarray = field(init=False, repr=False, compare=False)
-    _right: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        left, right = np.triu_indices(self.n, k=1)
-        object.__setattr__(self, "_left", left)
-        object.__setattr__(self, "_right", right)
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self._left.tolist(), self._right.tolist()))
-
-    @property
-    def count(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    @property
-    def divisor(self) -> DiagonalDivisor:
-        return DiagonalDivisor(self.n)
-
-    def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """All form values d log(z_i - z_j)(v) as one vector, in `pairs` order."""
-        i, j = self._left, self._right
-        return (v[i] - v[j]) / (z[i] - z[j])
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +220,6 @@ class ConnectionFamily:
     def dim(self) -> int:
         return self.coefficients[0][0].shape[0]
 
-    def coefficient_norms(self) -> list[list[float]]:
-        return [[frobenius(m) for m in gen] for gen in self.coefficients]
-
     def radius_estimate(self) -> float:
         """Ratio-test estimate of the convergence radius in lambda."""
         ratios = []
@@ -317,18 +239,9 @@ def evaluate_at(family: ConnectionFamily, lam: complex):
             f"|lambda| = {abs(lam):.3g} exceeds the estimated radius {radius:.3g}",
             stacklevel=2,
         )
-    residues = []
-    for gen in family.coefficients:
-        u = np.zeros((family.dim, family.dim), dtype=complex)
-        for k, m in enumerate(gen, start=1):
-            u = u + (lam**k) * m
-        residues.append(u)
-    if isinstance(family.forms, DifferenceForms):
-        return family.forms.connection(residues)
-    from .fuchsian import ConfigurationConnection
-
-    pairs = family.forms.pairs
-    return ConfigurationConnection(family.forms.n, dict(zip(pairs, residues)))
+    zero = np.zeros((family.dim, family.dim), dtype=complex)
+    residues = [sum((lam**k * m for k, m in enumerate(gen, start=1)), zero) for gen in family.coefficients]
+    return family.forms.connection(residues)
 
 
 def _check_loop_normalization(forms, loops, tol):

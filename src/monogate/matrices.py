@@ -15,7 +15,6 @@ __all__ = [
     "as_square_matrix",
     "frobenius",
     "unitarity_defect",
-    "is_unitary",
     "projective_distance",
     "matrix_to_json",
     "matrix_from_json",
@@ -48,10 +47,6 @@ def unitarity_defect(u) -> float:
     """Frobenius norm of U†U - I."""
     u = np.asarray(u, dtype=complex)
     return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-
-
-def is_unitary(u, tol: float = DEFAULT_UNITARITY_TOL) -> bool:
-    return unitarity_defect(u) <= tol
 
 
 def projective_distance(u, v) -> float:

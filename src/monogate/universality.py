@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 ABELIAN_TOL = 1e-10
-DEDUP_DECIMALS = 6
+DEDUP_TOL = 1e-6
 DEFAULT_MAXLEN = 16
 DEFAULT_NODE_BUDGET = 20000
 
@@ -58,23 +58,17 @@ class GateSet:
     def dim(self) -> int:
         return self.generators[0].shape[0]
 
-    @classmethod
-    def from_gates(cls, gates: list[QuantumGate], labels=()) -> "GateSet":
-        return cls(tuple(g.matrix for g in gates), tuple(labels))
-
-
-def _phase_canonical(u: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real positive."""
-    flat = u.reshape(-1)
-    k = int(np.argmax(np.abs(flat)))
-    phase = flat[k] / abs(flat[k])
-    return u / phase
-
 
 def _dedup_key(u: np.ndarray) -> bytes:
-    """Projective grid key: canonical phase, entries rounded to 1e-6."""
-    v = _phase_canonical(u)
-    return np.round(v, DEDUP_DECIMALS).tobytes()
+    """Projective grid key: the first entry within DEDUP_TOL of the largest
+    magnitude is rotated to real positive, then entries are rounded to
+    integers on a 1/DEDUP_TOL grid (integers have no -0.0, so the
+    phase-fixed form of every element has one key)."""
+    flat = u.reshape(-1)
+    mags = np.abs(flat)
+    k = int(np.argmax(mags >= mags.max() - DEDUP_TOL))
+    v = flat / (flat[k] / mags[k])
+    return np.rint(v.view(float) * (1 / DEDUP_TOL)).astype(np.int64).tobytes()
 
 
 def _closure_levels(gs: GateSet, maxlen: int, node_budget: int):

@@ -426,3 +426,48 @@ def test_configuration_connection_json_roundtrip():
 def test_regular_at_infinity_validated():
     with pytest.raises(ValueError):
         PointsConnection((0.0,), (np.eye(2),), regular_at_infinity=True)
+
+
+# ---------------------------------------------------------------------------
+# One representation: scalar forms against one coefficient stack.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_configuration_contract_matches_explicit_sum(n):
+    rng = np.random.default_rng(100 + n)
+    d = 3
+    terms = {
+        (i, j): rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for i in range(n) for j in range(i + 1, n)
+    }
+    conn = ConfigurationConnection(n, terms)
+    for _ in range(5):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = sum(m * ((v[i] - v[j]) / (z[i] - z[j])) for (i, j), m in terms.items())
+        assert np.max(np.abs(conn.contract(z, v) - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_coefficients_are_views_of_the_stack():
+    conn = ConfigurationConnection(4, {(0, 2): SIGMA_X, (1, 3): SIGMA_Z})
+    for pair, m in conn.terms.items():
+        assert np.shares_memory(m, conn._stack), pair
+    assert np.array_equal(conn.matrix(0, 2), SIGMA_X)
+    assert np.array_equal(conn.matrix(0, 1), np.zeros((2, 2)))
+    points = PointsConnection((0.0, 1.0), (SIGMA_X, SIGMA_Z))
+    diffs = DifferencesConnection((0.0, 1.0), (SIGMA_X, SIGMA_Z), reference=2.0)
+    for c in (points, diffs):
+        mats = c.residues if isinstance(c, PointsConnection) else c.coefficients
+        assert all(np.shares_memory(m, c._stack) for m in mats)
+
+
+def test_differences_contract_matches_points_form():
+    rng = np.random.default_rng(7)
+    coeffs = tuple(random_hermitian(2, rng) for _ in range(3))
+    conn = DifferencesConnection((0.0, 1.0, 2.0 + 1.0j), coeffs, reference=-1.0 + 0.5j)
+    points = conn.as_points_connection()
+    assert conn.divisor.points == points.divisor.points
+    for _ in range(5):
+        z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+        v = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+        assert np.max(np.abs(conn.contract(z, v) - points.contract(z, v))) <= 1e-13

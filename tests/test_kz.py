@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from monogate.fuchsian import ConfigurationConnection, integrability_check, transport
+from monogate.fuchsian import ConfigurationConnection, NumericsError, integrability_check, transport
 from monogate.gate_core import SIGMA_X, SIGMA_Z
 from monogate.kz import (
     SpinModule,
@@ -13,13 +13,13 @@ from monogate.kz import (
     flip_operator,
     log_increment,
     two_point_transport_factor,
+    _unitarize_block,
     unitarize_kz,
-    unitarize_representation,
     verify_braid_relations,
 )
 from monogate.matrices import frobenius, unitarity_defect
 from monogate.paths import LineSegment, PiecewisePath, braid_word_path
-from oracles import casimir_omega_via_coproduct, two_point_solution
+from oracles import casimir_omega_via_coproduct, two_point_solution, unitarize_representation
 
 HALF = SpinModule(0.5)
 
@@ -293,6 +293,32 @@ def test_unitarize_kz_indefinite_sector_dies():
     assert res.radical_dim == 4
     assert res.matrices[0].shape == (4, 4)
     assert res.defect <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, lam, radical",
+    [(4, 2.5, 11), (4, 3.0, 10), (4, 4.0, 6), (4, 5.0, 0),
+     (5, 2.5, 22), (5, 3.0, 26), (5, 4.0, 24), (5, 5.0, 12)],
+)
+def test_unitarize_kz_radical_dims_pinned(n, lam, radical):
+    # values of the iterative most-definite-form search, which the closed
+    # form per block must reproduce
+    res = unitarize_kz(build_kz([HALF] * n, lam), tol=1e-10)
+    assert res.radical_dim == radical
+    assert res.matrices[0].shape[0] == 2**n - radical
+    assert res.defect <= 1e-8
+
+
+def test_unitarize_block_needs_a_unique_form():
+    # the identity preserves every Hermitian form: four of them, not one
+    with pytest.raises(NumericsError, match="2-dimensional block has 4"):
+        _unitarize_block([np.eye(2)], 1e-7)
+
+
+def test_connection_is_built_once(sys3):
+    conn = sys3.connection()
+    assert sys3.connection() is conn
+    assert np.allclose(conn.matrix(0, 2), sys3.omega(0, 2) / sys3.lam)
 
 
 # ---------------------------------------------------------------------------

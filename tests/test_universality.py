@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from monogate.gate_core import HADAMARD_STD, SIGMA_X, SIGMA_Z, named_gate
-from monogate.matrices import random_unitary
+from monogate.kz import SpinModule, build_kz, unitarize_kz
+from monogate.matrices import random_su2, random_unitary
 from monogate.universality import (
     GateSet,
     density_screen,
@@ -35,8 +36,39 @@ def test_pauli_pair_is_finite_suspect():
     report = density_screen(GateSet((SIGMA_X, SIGMA_Z)))
     assert report.verdict == "finite-suspect"
     assert report.saturated
-    # projectively {I, X, Z, XZ} and phase-variants collapse to at most 16
-    assert sum(report.closure_sizes) <= 16
+    # projectively {I, X, Z, XZ}: the Klein four-group
+    assert sum(report.closure_sizes) == 4
+
+
+def test_clifford_pair_has_projective_order_24():
+    # <H, S> is the octahedral group projectively; H and S have entries of
+    # tied magnitude, where the phase pivot must not depend on rounding
+    report = density_screen(GateSet((HADAMARD_STD, named_gate("PHASE", 0.5).matrix)))
+    assert report.verdict == "finite-suspect"
+    assert sum(report.closure_sizes) == 24
+
+
+@pytest.mark.parametrize("lam, order", [(4.0, 24), (6.0, 12), (10.0, 60)])
+def test_kz_spin_half_block_projective_orders(lam, order):
+    # B_3 images on the spin-1/2 block of the n = 3 KZ gates (Jones 1986):
+    # octahedral at lambda = 4, tetrahedral at 6, icosahedral at 10
+    res = unitarize_kz(build_kz([SpinModule(0.5)] * 3, lam), tol=1e-10)
+    assert res.radical_dim == 0
+    blocks = tuple(m[:2, :2] for m in res.matrices)
+    report = density_screen(GateSet(blocks))
+    assert report.verdict == "finite-suspect"
+    assert sum(report.closure_sizes) == order
+
+
+def test_haar_pair_closure_levels_are_free():
+    # a Haar-random pair generates a free group: 4 * 3^(k-1) new words at
+    # length k, up to the level where the node budget cuts the enumeration
+    rng = np.random.default_rng(31)
+    report = density_screen(GateSet((random_su2(rng), random_su2(rng))), node_budget=2000)
+    levels = list(report.closure_sizes)
+    assert levels[:-1] == [1] + [4 * 3 ** (k - 1) for k in range(1, len(levels) - 1)]
+    assert levels[-1] <= 4 * 3 ** (len(levels) - 2)
+    assert sum(levels) == 2001 and report.budget_exhausted
 
 
 def test_hadamard_t_is_dense_likely(ht_set):
