@@ -55,6 +55,9 @@ def _config(args, keys) -> dict:
 
 
 def _validate_args(args) -> None:
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
     for key in ("tol", "verify_tol", "relation_tol", "eps", "radius"):
         value = getattr(args, key, None)
         if value is not None and value <= 0:

@@ -370,8 +370,8 @@ def integrate_along(path: PiecewisePath, rhs_for_segment, y0: np.ndarray, tol: f
     (`_graded_pieces`), so their cost grows like log(1/h) in the closest
     approach h, not like 1/h.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rtol = max(tol * 1e-2, 3e-14)
     atol = max(tol * 1e-3, 1e-14)
     state = np.asarray(y0, dtype=complex).reshape(-1)

@@ -3,9 +3,13 @@
 Two-site coupling operators come from the Casimir element: with an orthogonal
 sl2 basis {I_a} normalized so that the spin-1/2 pair operator is exactly
 P - I/2 (P the swap), the coupling is O = sum_a I_a (x) I_a, realized on spin
-modules as twice the dot product of spin operator triples.  The connection
+modules as twice the dot product of spin operator triples.  O_ij is that
+two-site operator placed on tensor factors i and j by one axis transpose, and
+the factor flip is the identity with two axes swapped.  The connection
 (1/lambda) sum O_ij d log(z_i - z_j) is flat, and transporting along a braid
 half-twist followed by the factor flip yields quantum gates on V^{(x) n}.
+The product basis is a weight basis, so the isotypic decomposition under the
+global sl2 action is read off it directly.
 
 For n = 2 the clockwise half-twist with the flip divided out equals
 e^{-pi i O / lambda} in closed form; the orientation-free anchor
@@ -16,10 +20,9 @@ sign in the exponent is a convention choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from .fuchsian import ConfigurationConnection, NumericsError, integrability_check, transport
 from .matrices import as_square_matrix, frobenius, unitarity_defect
@@ -71,12 +74,8 @@ class SpinModule:
 
     @property
     def sp(self) -> np.ndarray:
-        j = self.spin
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(1, self.dim):
-            mm = j - i  # weight of the source vector
-            m[i - 1, i] = np.sqrt(j * (j + 1) - mm * (mm + 1))
-        return m
+        j, m = self.spin, self.spin - np.arange(1, self.dim)  # m: source weights
+        return np.diag(np.sqrt(j * (j + 1) - m * (m + 1)), 1).astype(complex)
 
     @property
     def sm(self) -> np.ndarray:
@@ -118,12 +117,15 @@ def casimir_omega(vi: SpinModule, vj: SpinModule) -> np.ndarray:
     return out
 
 
-def _embed(op: np.ndarray, site: int, dims: list[int]) -> np.ndarray:
-    """op acting on tensor factor `site` (0-based), identity elsewhere."""
-    m = np.eye(1, dtype=complex)
-    for k, d in enumerate(dims):
-        m = np.kron(m, op if k == site else np.eye(d, dtype=complex))
-    return m
+def _on_sites(op: np.ndarray, sites, dims) -> np.ndarray:
+    """op acting on the tensor factors `sites` (0-based, in op's own factor
+    order), identity elsewhere: kron with the identity, then one transpose."""
+    n, dim = len(dims), int(np.prod(dims))
+    order = list(sites) + [k for k in range(n) if k not in sites]
+    full = np.kron(op, np.eye(dim // op.shape[0], dtype=complex))
+    back = np.argsort(order).tolist()
+    shape = [dims[k] for k in order] * 2
+    return full.reshape(shape).transpose(back + [n + k for k in back]).reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,7 @@ class KZSystem:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for m in self.modules:
-            out *= m.dim
-        return out
+        return int(np.prod([m.dim for m in self.modules]))
 
     def omega(self, i: int, j: int) -> np.ndarray:
         if i > j:
@@ -172,13 +171,11 @@ def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
         if defect > SL2_COMMUTATOR_TOL:
             raise ValueError(f"spin module {m.spin} violates sl2 relations by {defect:.3e}")
     dims = [m.dim for m in modules]
-    omegas = {}
-    for i in range(len(modules)):
-        for j in range(i + 1, len(modules)):
-            op = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-            for a, b in zip(modules[i].spin_triple(), modules[j].spin_triple()):
-                op += 2.0 * _embed(a, i, dims) @ _embed(b, j, dims)
-            omegas[(i, j)] = op
+    omegas = {
+        (i, j): _on_sites(casimir_omega(modules[i], modules[j]), (i, j), dims)
+        for i in range(len(modules))
+        for j in range(i + 1, len(modules))
+    }
     sys = KZSystem(modules, complex(lam), omegas)
     report = integrability_check(sys.connection())
     if report.max_violation > flatness_tol:
@@ -212,16 +209,12 @@ def two_point_transport_factor(omega, lam: complex, path: PiecewisePath) -> np.n
 # ---------------------------------------------------------------------------
 
 def flip_operator(n: int, d: int, i: int) -> np.ndarray:
-    """Permutation operator exchanging tensor factors i and i+1 (1-based)."""
+    """Permutation operator exchanging tensor factors i and i+1 (1-based):
+    the identity on (C^d)^{(x) n} with its output axes i-1 and i swapped."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"factor index {i} out of range for n={n}")
-    dim = d**n
-    p = np.zeros((dim, dim), dtype=complex)
-    for idx in product(range(d), repeat=n):
-        jdx = list(idx)
-        jdx[i - 1], jdx[i] = jdx[i], jdx[i - 1]
-        p[int(np.ravel_multi_index(jdx, (d,) * n)), int(np.ravel_multi_index(idx, (d,) * n))] = 1.0
-    return p
+    eye = np.eye(d**n, dtype=complex).reshape((d,) * (2 * n))
+    return eye.swapaxes(i - 1, i).reshape(d**n, d**n)
 
 
 def braid_matrix(sys: KZSystem, i: int, tol: float = 1e-10,
@@ -277,7 +270,7 @@ def _hermitian_kernel_basis(mats) -> list[np.ndarray]:
     """Orthonormal basis of the Hermitian solutions of B† H B = H for all B."""
     dim = mats[0].shape[0]
     blocks = [np.kron(b.T, b.conj().T) - np.eye(dim * dim) for b in mats]
-    _, s, vh = np.linalg.svd(np.vstack(blocks))
+    _, s, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
     null_count = int(np.sum(s <= max(s[0], 1.0) * 1e-10))
     if null_count == 0:
         raise ValueError("no invariant sesquilinear form exists within tolerance")
@@ -329,37 +322,39 @@ def _unitarize_block(mats, rank_cut: float):
 def total_spin_operators(sys: KZSystem) -> tuple[np.ndarray, np.ndarray]:
     """Global raising operator J+ and weight operator Jz on the tensor product."""
     dims = [m.dim for m in sys.modules]
-    jp = sum(_embed(m.sp, k, dims) for k, m in enumerate(sys.modules))
-    jz = sum(_embed(m.sz, k, dims) for k, m in enumerate(sys.modules))
+    jp = sum(_on_sites(m.sp, (k,), dims) for k, m in enumerate(sys.modules))
+    jz = sum(_on_sites(m.sz, (k,), dims) for k, m in enumerate(sys.modules))
     return jp, jz
 
 
 def _isotypic_towers(sys: KZSystem):
     """Decompose the tensor product under the global sl2 action.
 
-    Yields (j, towers) where towers[p] is an orthonormal dim x mult block of
-    weight (j - p) vectors in the spin-j isotypic component, all sharing one
-    multiplicity frame (towers[p] = normalized J-^p towers[0])."""
+    Returns (j, towers) in ascending j; towers[p] is an orthonormal dim x mult
+    block of weight (j - p) vectors in the spin-j isotypic component, all
+    sharing one multiplicity frame (towers[p] = normalized J-^p towers[0]).
+    Jz is diagonal, so spin j has multiplicity #(weight j) - #(weight j+1), and
+    its highest-weight vectors are the kernel of J+ on the weight-j coordinates."""
     jp, jz = total_spin_operators(sys)
     jm = jp.conj().T
-    j2 = jp @ jm + jz @ jz - jz
-    evals, vecs = np.linalg.eigh(j2)
+    twice = np.rint(2 * jz.diagonal().real).astype(int)
     out = []
-    rounded = np.round(2 * (-1 + np.sqrt(1 + 4 * np.clip(evals, 0, None))) / 2) / 2
-    for j in sorted(set(rounded.tolist())):
-        cols = vecs[:, np.abs(rounded - j) < 0.25]
-        mult = round(cols.shape[1] / (2 * j + 1))
-        # highest-weight slice: weight-j vectors inside the isotypic component
-        wz = cols.conj().T @ jz @ cols
-        ww, vv = np.linalg.eigh(wz)
-        hw = cols @ vv[:, np.abs(ww - j) < 0.25]
-        if hw.shape[1] != mult:
+    for tj in range(twice.max() % 2, twice.max() + 1, 2):
+        at, up = np.flatnonzero(twice == tj), np.flatnonzero(twice == tj + 2)
+        mult = at.size - up.size
+        if mult == 0:
+            continue
+        _, s, vh = np.linalg.svd(jp[np.ix_(up, at)])
+        rank = int(np.sum(s > 1e-10))  # nonzero singular values here are >= sqrt(2)
+        if at.size - rank != mult:
             raise ValueError("isotypic decomposition failed; check the modules")
+        hw = np.zeros((sys.dim, mult), dtype=complex)
+        hw[at] = vh[rank:].conj().T
         towers = [hw]
-        for _ in range(round(2 * j)):
+        for _ in range(tj):
             nxt = jm @ towers[-1]
             towers.append(nxt / np.linalg.norm(nxt[:, 0]))
-        out.append((j, towers))
+        out.append((tj / 2, towers))
     return out
 
 
@@ -381,7 +376,7 @@ def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10,
     if mats is None:
         mats = [braid_matrix(sys, i, tol) for i in range(1, sys.n)]
     mats = [as_square_matrix(m) for m in mats]
-    kept_blocks: list[list[np.ndarray]] = [[] for _ in mats]
+    kept_blocks = []  # per surviving block: its kept gates, one per generator
     form_full = np.zeros((sys.dim, sys.dim), dtype=complex)
     radical_total = 0
     for j, towers in _isotypic_towers(sys):
@@ -391,21 +386,11 @@ def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10,
         radical_total += radical * len(towers)
         for w in towers:
             form_full += w @ h_block @ w.conj().T
-        if kept is None:
-            continue
-        for i, bq in enumerate(kept):
-            kept_blocks[i].append(np.kron(np.eye(len(towers), dtype=complex), bq))
-    if all(not blocks for blocks in kept_blocks):
+        if kept is not None:
+            kept_blocks.append([np.kron(np.eye(len(towers), dtype=complex), bq) for bq in kept])
+    if not kept_blocks:
         raise ValueError("every isotypic block died; representation has no unitary quotient")
-    assembled = []
-    for blocks in kept_blocks:
-        dim_q = sum(b.shape[0] for b in blocks)
-        m = np.zeros((dim_q, dim_q), dtype=complex)
-        at = 0
-        for b in blocks:
-            m[at : at + b.shape[0], at : at + b.shape[0]] = b
-            at += b.shape[0]
-        assembled.append(m)
+    assembled = [block_diag(*blocks) for blocks in zip(*kept_blocks)]
     defect = max(unitarity_defect(b) for b in assembled)
     return UnitarizationResult(form_full, tuple(assembled), defect, radical_total)
 

@@ -150,6 +150,8 @@ class ArcSegment:
         a = _as_point(self.amplitude)
         if c.shape != a.shape:
             raise ValueError("center and amplitude live in different spaces")
+        if not all(np.all(np.isfinite(v)) for v in (c, a, self.theta0, self.theta1)):
+            raise ValueError("arc center, amplitude and angles must be finite")
         if np.max(np.abs(a)) <= 0.0:
             raise ValueError("arc radius must be positive")
         if self.theta0 == self.theta1:

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from monogate.cli import main
+from monogate.cli import _validate_args, build_parser, main
 from monogate.fuchsian import PointsConnection, connection_to_json
 from monogate.matrices import matrix_from_json, matrix_to_json
 from monogate.paths import generator_loop, loops_to_json, path_from_json
@@ -231,6 +232,24 @@ def test_nonpositive_tolerance_rejected(capsys):
     code, _, err = run(capsys, "kz", "verify", "--n", "2", "--lambda", "3", "--tol", "-1")
     assert code == 1
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuchsian", "monodromy", "--conn", "c.json", "--loops", "l.json", "--tol", "nan"],
+        ["kz", "braid", "--n", "3", "--lambda", "3", "--tol", "nan"],
+        ["kz", "braid", "--n", "3", "--lambda", "inf"],
+        ["kz", "verify", "--n", "3", "--lambda", "3", "--relation-tol", "nan"],
+        ["universality", "coverage", "--names", "X,Z", "--eps", "nan"],
+        ["pipeline", "--radius", "inf"],
+        ["synth", "--targets", "t.json", "--loops", "l.json", "--points", "0", "--lambda=-inf"],
+    ],
+)
+def test_non_finite_numbers_rejected(argv):
+    # checked before any command runs: a NaN tolerance hangs transport, a NaN eps voids coverage
+    with pytest.raises(ValueError, match="must be finite"):
+        _validate_args(build_parser().parse_args(argv))
 
 
 def test_order_below_one_rejected(tmp_path, capsys):

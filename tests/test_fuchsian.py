@@ -135,6 +135,15 @@ def test_divisor_contact_rejected():
         transport(conn, through, 1e-10)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_integrate_along_needs_finite_positive_tol(unit_loop, tol):
+    def rhs_for_segment(seg):
+        raise AssertionError("tol must be rejected before any solve")
+
+    with pytest.raises(ValueError, match="tol"):
+        fuchsian.integrate_along(unit_loop, rhs_for_segment, np.eye(2), tol, PointsDivisor((0.0,)))
+
+
 def test_dimension_mismatch_rejected(unit_loop):
     conn = ConfigurationConnection(2, {(0, 1): np.eye(2)})
     with pytest.raises(ValueError):

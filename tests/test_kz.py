@@ -1,3 +1,6 @@
+from functools import reduce
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,7 +16,9 @@ from monogate.kz import (
     flip_operator,
     log_increment,
     two_point_transport_factor,
+    _isotypic_towers,
     _unitarize_block,
+    total_spin_operators,
     unitarize_kz,
     verify_braid_relations,
 )
@@ -348,3 +353,65 @@ def test_relation_report_shape():
     assert len(report.pure_braid_unitarity) == 6
     with pytest.raises(ValueError):
         verify_braid_relations(mats, 3, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Tensor structure: factor flips and the isotypic frame.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flip_operator_swaps_product_vectors_exactly(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    # small Gaussian integers: every kron product is exact in any factor order
+    vs = [rng.integers(-9, 10, size=d) + 1j * rng.integers(-9, 10, size=d) for _ in range(n)]
+    for i in range(1, n):
+        swapped = vs[: i - 1] + [vs[i], vs[i - 1]] + vs[i + 1 :]
+        assert np.array_equal(flip_operator(n, d, i) @ reduce(np.kron, vs), reduce(np.kron, swapped))
+
+
+def _multiplicities(sys):
+    return {j: towers[0].shape[1] for j, towers in _isotypic_towers(sys)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_isotypic_multiplicities_are_clebsch_gordan_counts(n):
+    sys = build_kz([HALF] * n, 7.5)
+    # V_{1/2}^{(x) n} holds spin j = n/2 - k with multiplicity C(n, k) - C(n, k - 1)
+    expected = {n / 2 - k: comb(n, k) - (comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)}
+    mults = _multiplicities(sys)
+    assert list(mults) == sorted(expected)
+    assert mults == expected
+
+
+def test_isotypic_multiplicities_of_mixed_modules():
+    # 1/2 (x) 1 (x) 3/2 = (1/2 (x) 1) (x) 3/2 = (1/2 + 3/2) (x) 3/2
+    sys = build_kz([SpinModule(0.5), SpinModule(1.0), SpinModule(1.5)], 7.5)
+    assert _multiplicities(sys) == {0.0: 1, 1.0: 2, 2.0: 2, 3.0: 1}
+
+
+@pytest.mark.parametrize("spins", [(0.5,) * 5, (1.0,) * 3, (0.5, 1.0, 1.5)])
+def test_isotypic_towers_are_highest_weight_and_orthonormal(spins):
+    sys = build_kz([SpinModule(s) for s in spins], 7.5)
+    jp, jz = total_spin_operators(sys)
+    frame = []
+    for j, towers in _isotypic_towers(sys):
+        assert np.max(np.abs(jp @ towers[0])) < 1e-12
+        assert np.max(np.abs(jz @ towers[0] - j * towers[0])) < 1e-12
+        frame.extend(towers)
+    frame = np.hstack(frame)
+    assert frame.shape == (sys.dim, sys.dim)
+    assert np.max(np.abs(frame.conj().T @ frame - np.eye(sys.dim))) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [3.0, 4.0, 7.5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_spin_half_gates_satisfy_the_hecke_relation(n, lam):
+    # sigma_i is conjugate to P e^{pi i O / lam}: eigenvalue e^{pi i / 2 lam} on
+    # the pair triplet and -e^{-3 pi i / 2 lam} on the pair singlet
+    sys = build_kz([HALF] * n, lam)
+    q1, q2 = np.exp(0.5j * np.pi / lam), -np.exp(-1.5j * np.pi / lam)
+    eye = np.eye(sys.dim)
+    for i in range(1, n):
+        b = braid_matrix(sys, i)
+        assert np.max(np.abs((b - q1 * eye) @ (b - q2 * eye))) < 1e-9

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,23 @@ def test_path_continuity_enforced():
 def test_arc_requires_positive_radius():
     with pytest.raises(ValueError):
         ArcSegment(np.array([0.0]), np.array([0.0]), 0.0, np.pi)
+
+
+@pytest.mark.parametrize("field", ["center", "amplitude", "theta0", "theta1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_arc_requires_finite_data(field, bad):
+    args = {"center": np.array([0.0]), "amplitude": np.array([1.0]), "theta0": 0.0, "theta1": np.pi}
+    args[field] = np.array([bad]) if field in ("center", "amplitude") else bad
+    with pytest.raises(ValueError, match="finite"):
+        ArcSegment(**args)
+
+
+def test_loop_file_with_nan_angle_rejected():
+    obj = path_to_json(generator_loop(0j, 1.0 + 0j, 0.5))
+    next(seg for seg in obj["segments"] if seg["kind"] == "arc")["theta1"] = float("nan")
+    text = json.dumps(obj)  # json writes and reads NaN
+    with pytest.raises(ValueError, match="finite"):
+        path_from_json(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
