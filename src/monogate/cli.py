@@ -54,18 +54,23 @@ def _config(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
+def _flag(dest: str) -> str:
+    """The option string of an argparse destination (`lam` is `--lambda`)."""
+    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+
+
 def _validate_args(args) -> None:
     for key, value in vars(args).items():
         if isinstance(value, float) and not np.isfinite(value):
-            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
+            raise ValueError(f"{_flag(key)} must be finite, got {value}")
     for key in ("tol", "verify_tol", "relation_tol", "eps", "radius"):
         value = getattr(args, key, None)
         if value is not None and value <= 0:
-            raise ValueError(f"--{key.replace('_', '-')} must be positive, got {value}")
+            raise ValueError(f"{_flag(key)} must be positive, got {value}")
     for key in ("order", "maxlen", "samples", "budget", "generators"):
         value = getattr(args, key, None)
         if value is not None and value < 1:
-            raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {value}")
+            raise ValueError(f"{_flag(key)} must be >= 1, got {value}")
 
 
 def _render_text(obj, indent: int = 0) -> str:

@@ -59,55 +59,75 @@ class GateSet:
         return self.generators[0].shape[0]
 
 
-def _dedup_key(u: np.ndarray) -> bytes:
-    """Projective grid key: the first entry within DEDUP_TOL of the largest
+def _dedup_keys(us: np.ndarray) -> np.ndarray:
+    """Projective grid keys of an (N, d, d) stack, one int64 row per element.
+
+    In each element the first entry within DEDUP_TOL of the largest
     magnitude is rotated to real positive, then entries are rounded to
     integers on a 1/DEDUP_TOL grid (integers have no -0.0, so the
     phase-fixed form of every element has one key)."""
-    flat = u.reshape(-1)
+    flat = us.reshape(len(us), -1)
     mags = np.abs(flat)
-    k = int(np.argmax(mags >= mags.max() - DEDUP_TOL))
-    v = flat / (flat[k] / mags[k])
-    return np.rint(v.view(float) * (1 / DEDUP_TOL)).astype(np.int64).tobytes()
+    rows = np.arange(len(flat))
+    k = np.argmax(mags >= mags.max(axis=1, keepdims=True) - DEDUP_TOL, axis=1)
+    v = flat / (flat[rows, k] / mags[rows, k])[:, None]
+    grid = v.view(float)
+    grid *= 1 / DEDUP_TOL
+    return np.rint(grid, out=grid).astype(np.int64)
 
 
 def _closure_levels(gs: GateSet, maxlen: int, node_budget: int):
     """Breadth-first closure of the generators and their inverses.
 
-    Yields nothing; returns (elements, levels, saturated, budget_exhausted)
-    where levels[k] counts the new elements at word length k.
+    Each level is formed in frontier slices: one stacked matmul gives the
+    slice's products (word-major, letter-minor), `_dedup_keys` keys them
+    all, and only the set insert runs per element.  A slice holds
+    ceil(room / |alphabet|) words, room being the insertions left before
+    the node budget is exhausted, so below the cut a level is one slice and
+    at the cut fewer than |alphabet| products are keyed past it.
+
+    Returns (elements, levels, saturated, budget_exhausted): elements is an
+    (N, d, d) stack in discovery order, levels[k] counts the new elements
+    at word length k.
     """
-    alphabet = list(gs.generators) + [g.conj().T for g in gs.generators]
-    eye = np.eye(gs.dim, dtype=complex)
-    seen = {_dedup_key(eye)}
-    elements = [eye]
-    frontier = [eye]
+    dim = gs.dim
+    alphabet = np.stack(list(gs.generators) + [g.conj().T for g in gs.generators])
+    as_bytes = np.dtype((np.void, 2 * dim * dim * 8))  # one int64 key row
+    eye = np.eye(dim, dtype=complex)[None]
+    seen = set(_dedup_keys(eye).view(as_bytes).ravel().tolist())
+    found = [eye]
+    frontier = eye
     levels = [1]
     saturated = False
     budget_exhausted = False
     for _ in range(maxlen):
-        new = []
-        for w in frontier:
-            for a in alphabet:
-                v = a @ w
-                key = _dedup_key(v)
+        keeps = []
+        start = 0
+        while start < len(frontier) and not budget_exhausted:
+            room = node_budget + 1 - len(seen)
+            stop = start + max(1, -(-room // len(alphabet)))
+            products = np.matmul(alphabet[None], frontier[start:stop, None]).reshape(-1, dim, dim)
+            keys = _dedup_keys(products).view(as_bytes).ravel().tolist()
+            keep = []
+            for i, key in enumerate(keys):
                 if key not in seen:
                     seen.add(key)
-                    new.append(v)
+                    keep.append(i)
                     if len(seen) > node_budget:
                         budget_exhausted = True
                         break
-            if budget_exhausted:
-                break
-        if not new:
+            keeps.append(products[keep])
+            start = stop
+        new = np.concatenate(keeps)
+        if not len(new):
             saturated = True
             break
-        elements.extend(new)
+        found.append(new)
         frontier = new
         levels.append(len(new))
         if budget_exhausted:
             break
-    return elements, levels, saturated, budget_exhausted
+    return np.concatenate(found), levels, saturated, budget_exhausted
 
 
 @dataclass(frozen=True)
@@ -205,10 +225,11 @@ def epsilon_net_coverage(gs: GateSet, maxlen: int, eps: float, samples: int,
     rng = np.random.default_rng(seed)
     targets = haar_su2_samples(samples, rng)
     words, _, _, exhausted = _closure_levels(gs, maxlen, node_budget)
-    stack = np.stack(words)
-    # tr(W† T) for all pairs; projective distance = sqrt(4 - 2 |tr|)
-    overlaps = np.abs(np.einsum("wij,nij->wn", stack.conj(), targets))
-    d2 = 4.0 - 2.0 * overlaps.max(axis=0)
+    # max over words of |tr(W† T)| per target, one matrix-vector product each,
+    # so memory stays O(words); projective distance = sqrt(4 - 2 |tr|)
+    conj_words = words.reshape(len(words), -1).conj()
+    overlaps = np.array([np.abs(conj_words @ t).max() for t in targets.reshape(samples, -1)])
+    d2 = 4.0 - 2.0 * overlaps
     covered = np.sqrt(np.clip(d2, 0.0, None)) <= eps
     return CoverageReport(
         coverage=float(np.mean(covered)),

@@ -14,6 +14,10 @@ and slower route, so tests can compare the two:
 * `unitarize_representation`: the most definite invariant Hermitian form of
   any representation by supergradient ascent over the space of forms,
   against `unitarize_kz`'s unique form per multiplicity block.
+* `closure_levels_reference`: the breadth-first projective closure with one
+  matmul, one `dedup_key` and one set probe per product, against
+  `universality._closure_levels`'s stacked products and keys per frontier
+  slice.
 """
 
 from itertools import combinations
@@ -24,6 +28,7 @@ from scipy.linalg import expm
 from monogate.kz import UnitarizationResult, _hermitian_kernel_basis
 from monogate.lappo_danilevski import ConnectionFamily, matrix_chen_integral
 from monogate.matrices import as_square_matrix, unitarity_defect
+from monogate.universality import DEDUP_TOL
 
 TWO_PI_I = 2j * np.pi
 ORACLE_SAMPLES = 2048
@@ -160,3 +165,51 @@ def unitarize_representation(mats, rank_cut: float = 1e-7) -> UnitarizationResul
     conjugated = tuple(root @ b @ root_inv for b in mats)
     defect = max(unitarity_defect(b) for b in conjugated)
     return UnitarizationResult(h, conjugated, defect, 0)
+
+
+def dedup_key(u: np.ndarray) -> bytes:
+    """Projective grid key of one element, by the rule of
+    `universality._dedup_keys`: the first entry within DEDUP_TOL of the
+    largest magnitude is rotated to real positive, then entries are rounded
+    on a 1/DEDUP_TOL grid."""
+    flat = u.reshape(-1)
+    mags = np.abs(flat)
+    k = int(np.argmax(mags >= mags.max() - DEDUP_TOL))
+    v = flat / (flat[k] / mags[k])
+    return np.rint(v.view(float) * (1 / DEDUP_TOL)).astype(np.int64).tobytes()
+
+
+def closure_levels_reference(gs, maxlen: int, node_budget: int):
+    """Breadth-first closure product by product; returns (elements, levels,
+    saturated, budget_exhausted) with elements as a list."""
+    alphabet = list(gs.generators) + [g.conj().T for g in gs.generators]
+    eye = np.eye(gs.dim, dtype=complex)
+    seen = {dedup_key(eye)}
+    elements = [eye]
+    frontier = [eye]
+    levels = [1]
+    saturated = False
+    budget_exhausted = False
+    for _ in range(maxlen):
+        new = []
+        for w in frontier:
+            for a in alphabet:
+                v = a @ w
+                key = dedup_key(v)
+                if key not in seen:
+                    seen.add(key)
+                    new.append(v)
+                    if len(seen) > node_budget:
+                        budget_exhausted = True
+                        break
+            if budget_exhausted:
+                break
+        if not new:
+            saturated = True
+            break
+        elements.extend(new)
+        frontier = new
+        levels.append(len(new))
+        if budget_exhausted:
+            break
+    return elements, levels, saturated, budget_exhausted

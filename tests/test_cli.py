@@ -244,12 +244,16 @@ def test_nonpositive_tolerance_rejected(capsys):
         ["universality", "coverage", "--names", "X,Z", "--eps", "nan"],
         ["pipeline", "--radius", "inf"],
         ["synth", "--targets", "t.json", "--loops", "l.json", "--points", "0", "--lambda=-inf"],
+        ["pipeline", "--lambda", "nan"],
     ],
 )
 def test_non_finite_numbers_rejected(argv):
     # checked before any command runs: a NaN tolerance hangs transport, a NaN eps voids coverage
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be finite") as info:
         _validate_args(build_parser().parse_args(argv))
+    # the message names the last option as typed: --lambda, not its destination lam
+    typed = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
+    assert str(info.value).startswith(f"{typed} must be finite")
 
 
 def test_order_below_one_rejected(tmp_path, capsys):

@@ -1,18 +1,48 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+import oracles
+from monogate import universality
 from monogate.gate_core import HADAMARD_STD, SIGMA_X, SIGMA_Z, named_gate
 from monogate.kz import SpinModule, build_kz, unitarize_kz
-from monogate.matrices import random_su2, random_unitary
+from monogate.matrices import random_hermitian, random_su2, random_unitary
 from monogate.universality import (
+    DEFAULT_MAXLEN,
     GateSet,
+    _closure_levels,
     density_screen,
     epsilon_net_coverage,
     haar_su2_samples,
 )
+from oracles import closure_levels_reference
 
 T_GATE = named_gate("PHASE", 0.25).matrix
 PHASE_THIRD = named_gate("PHASE", 1 / 3).matrix
+S_GATE = named_gate("PHASE", 0.5).matrix
+
+
+@cache
+def kz_spin_half_block(lam: float) -> tuple[np.ndarray, ...]:
+    """The B_3 generators on the spin-1/2 block of the n = 3 KZ gates."""
+    res = unitarize_kz(build_kz([SpinModule(0.5)] * 3, lam), tol=1e-10)
+    assert res.radical_dim == 0
+    return tuple(m[:2, :2] for m in res.matrices)
+
+
+# verdict and exact projective order (None where there is no finite order)
+KNOWN_SETS = {
+    "abelian": (lambda: (PHASE_THIRD,), "abelian", None),
+    "pauli": (lambda: (SIGMA_X, SIGMA_Z), "finite-suspect", 4),
+    "clifford": (lambda: (HADAMARD_STD, S_GATE), "finite-suspect", 24),
+    "kz4": (lambda: kz_spin_half_block(4.0), "finite-suspect", 24),
+    "kz6": (lambda: kz_spin_half_block(6.0), "finite-suspect", 12),
+    "kz10": (lambda: kz_spin_half_block(10.0), "finite-suspect", 60),
+    "ht": (lambda: (HADAMARD_STD, T_GATE), "dense-likely", None),
+}
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +82,7 @@ def test_clifford_pair_has_projective_order_24():
 def test_kz_spin_half_block_projective_orders(lam, order):
     # B_3 images on the spin-1/2 block of the n = 3 KZ gates (Jones 1986):
     # octahedral at lambda = 4, tetrahedral at 6, icosahedral at 10
-    res = unitarize_kz(build_kz([SpinModule(0.5)] * 3, lam), tol=1e-10)
-    assert res.radical_dim == 0
-    blocks = tuple(m[:2, :2] for m in res.matrices)
-    report = density_screen(GateSet(blocks))
+    report = density_screen(GateSet(kz_spin_half_block(lam)))
     assert report.verdict == "finite-suspect"
     assert sum(report.closure_sizes) == order
 
@@ -69,6 +96,57 @@ def test_haar_pair_closure_levels_are_free():
     assert levels[:-1] == [1] + [4 * 3 ** (k - 1) for k in range(1, len(levels) - 1)]
     assert levels[-1] <= 4 * 3 ** (len(levels) - 2)
     assert sum(levels) == 2001 and report.budget_exhausted
+
+
+def closure_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    if kind == "haar":
+        return random_su2(rng), random_su2(rng)
+    if kind == "near-identity":
+        # the pipeline's generators exp(2 pi i lambda H) at lambda = 0.05
+        return tuple(expm(0.1j * np.pi * random_hermitian(4, rng)) for _ in range(3))
+    return KNOWN_SETS[kind][0]()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    kind=st.sampled_from(["haar", "near-identity", "pauli", "clifford", "kz4", "kz6", "kz10"]),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.integers(0, 3000),
+)
+def test_closure_matches_reference(kind, seed, budget):
+    # the budget cuts inside frontier slices and at their edges; the finite
+    # sets have entries of tied magnitude, where the phase pivot is decided
+    gs = GateSet(closure_case(kind, np.random.default_rng(seed)))
+    elements, *rest = _closure_levels(gs, DEFAULT_MAXLEN, budget)
+    ref_elements, *ref_rest = closure_levels_reference(gs, DEFAULT_MAXLEN, budget)
+    assert rest == ref_rest
+    ref_stack = np.stack(ref_elements)
+    assert elements.shape == ref_stack.shape
+    assert elements.tobytes() == ref_stack.tobytes()
+
+
+def test_closure_keys_at_most_one_slice_past_the_cut(monkeypatch):
+    # frontier slices sized by the budget's room key fewer than |alphabet|
+    # products past the cut; keying the whole last level would key 4 * 8748
+    rows, ref_rows = [], []
+    keys, ref_key = universality._dedup_keys, oracles.dedup_key
+
+    def counting(us):
+        rows.append(len(us))
+        return keys(us)
+
+    def ref_counting(u):
+        ref_rows.append(1)
+        return ref_key(u)
+
+    monkeypatch.setattr(universality, "_dedup_keys", counting)
+    monkeypatch.setattr(oracles, "dedup_key", ref_counting)
+    rng = np.random.default_rng(37)
+    gs = GateSet((random_su2(rng), random_su2(rng)))
+    _, levels, _, exhausted = _closure_levels(gs, DEFAULT_MAXLEN, 20000)
+    _, ref_levels, _, _ = closure_levels_reference(gs, DEFAULT_MAXLEN, 20000)
+    assert exhausted and levels == ref_levels
+    assert 0 < sum(rows) <= len(ref_rows) + 4 - 1
 
 
 def test_hadamard_t_is_dense_likely(ht_set):
@@ -153,14 +231,18 @@ def test_haar_samples_are_special_unitary():
         assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-12
 
 
-def test_verdict_invariant_under_conjugation():
-    rng = np.random.default_rng(23)
-    sets = {
-        "abelian": (PHASE_THIRD,),
-        "finite-suspect": (SIGMA_X, SIGMA_Z),
-        "dense-likely": (HADAMARD_STD, T_GATE),
-    }
-    for expected, gens in sets.items():
-        v = random_unitary(2, rng)
-        conjugated = tuple(v @ g @ v.conj().T for g in gens)
-        assert density_screen(GateSet(conjugated)).verdict == expected
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(kind=st.sampled_from(sorted(KNOWN_SETS)), seed=st.integers(0, 2**32 - 1))
+def test_verdict_invariant_under_conjugation(kind, seed):
+    # projective invariance: a phase per generator and one common Haar
+    # conjugation keep the verdict and the exact order of a finite image
+    make, verdict, order = KNOWN_SETS[kind]
+    rng = np.random.default_rng(seed)
+    v = random_unitary(2, rng)
+    gens = tuple(
+        np.exp(2j * np.pi * rng.random()) * (v @ g @ v.conj().T) for g in make()
+    )
+    report = density_screen(GateSet(gens))
+    assert report.verdict == verdict
+    if order is not None:
+        assert sum(report.closure_sizes) == order
