@@ -50,8 +50,13 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}") from exc
 
 
-def _config(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+def _config(args) -> dict:
+    """The parsed options of the subcommand, in parser order: the namespace
+    without the destinations that route to a handler."""
+    return {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "func") and not k.endswith("_command")
+    }
 
 
 def _flag(dest: str) -> str:
@@ -136,7 +141,7 @@ def _cmd_gate(args) -> int:
     gate = parse_gate_name(args.name)
     report = {
         "command": "gate",
-        "config": _config(args, ("name", "out", "format")),
+        "config": _config(args),
         "qubits": gate.qubits,
         "unitarity_defect": unitarity_defect(gate.matrix),
         "matrix": matrix_to_json(gate.matrix),
@@ -167,7 +172,7 @@ def _cmd_paths(args) -> int:
         payload = paths.loops_to_json(loops)
     report = {
         "command": f"paths {args.paths_command}",
-        "config": _config(args, ("n", "i", "j", "basepoint", "puncture", "punctures", "radius", "out", "format")),
+        "config": _config(args),
     }
     report.update(payload)
     _emit(report, args)
@@ -180,7 +185,7 @@ def _cmd_fuchsian(args) -> int:
     rep = fuchsian.monodromy_representation(conn, loops, tol=args.tol)
     report = {
         "command": "fuchsian monodromy",
-        "config": _config(args, ("conn", "loops", "tol", "out", "format")),
+        "config": _config(args),
         "labels": list(rep.labels),
         "basepoint": [complex_to_json(z) for z in rep.basepoint],
         "matrices": [matrix_to_json(m) for m in rep.matrices],
@@ -202,9 +207,7 @@ def _cmd_synth(args) -> int:
     family = ld.synthesize(targets, forms, loops, args.order, tol=args.tol)
     report = {
         "command": "synth",
-        "config": _config(
-            args, ("targets", "loops", "points", "reference", "order", "lam", "tol", "verify", "verify_tol", "out", "format")
-        ),
+        "config": _config(args),
         "family": ld.connection_family_to_json(family),
         "radius_estimate": family.radius_estimate()
         if np.isfinite(family.radius_estimate())
@@ -241,7 +244,7 @@ def _cmd_kz(args) -> int:
             radical = res.radical_dim
         report = {
             "command": "kz braid",
-            "config": _config(args, ("n", "spin", "lam", "tol", "unitarize", "out", "format")),
+            "config": _config(args),
             "gates": [
                 {"label": lab, "matrix": matrix_to_json(m)}
                 for lab, m in zip(labels, out_mats)
@@ -261,7 +264,7 @@ def _cmd_kz(args) -> int:
     res = kz.unitarize_kz(sys_, mats, tol=args.tol)
     report = {
         "command": "kz verify",
-        "config": _config(args, ("n", "spin", "lam", "tol", "relation_tol", "out", "format")),
+        "config": _config(args),
         "deviations": {
             "braid_relations": list(relations.braid_deviations),
             "far_commutation": list(relations.commutation_deviations),
@@ -287,7 +290,7 @@ def _cmd_universality(args) -> int:
         screen = universality.density_screen(gs, maxlen=args.maxlen, node_budget=args.budget)
         report = {
             "command": "universality screen",
-            "config": _config(args, ("gates", "names", "maxlen", "budget", "out", "format")),
+            "config": _config(args),
             "labels": list(gs.labels),
         }
         report.update(screen.as_dict())
@@ -298,7 +301,7 @@ def _cmd_universality(args) -> int:
     )
     report = {
         "command": "universality coverage",
-        "config": _config(args, ("gates", "names", "maxlen", "eps", "samples", "seed", "budget", "out", "format")),
+        "config": _config(args),
         "labels": list(gs.labels),
     }
     report.update(coverage.as_dict())
@@ -340,11 +343,7 @@ def _cmd_pipeline(args) -> int:
         status = EXIT_VERIFY
     report = {
         "command": "pipeline",
-        "config": _config(
-            args,
-            ("seed", "generators", "dim", "order", "lam", "radius", "tol",
-             "verify_tol", "maxlen", "budget", "zero_targets", "out", "format"),
-        ),
+        "config": _config(args),
         "deviations": verification.as_dict(),
         "screen": screen.as_dict(),
         "gates": [{"label": f"target_{j+1}", "matrix": matrix_to_json(g)} for j, g in enumerate(gates)],
@@ -389,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--radius", type=float, required=True)
     _add_common(pl)
     pls = psub.add_parser("loops", help="generator loops around several punctures")
-    pls.add_argument("--punctures", nargs="+", required=True)
     pls.add_argument("--basepoint", required=True)
+    pls.add_argument("--punctures", nargs="+", required=True)
     pls.add_argument("--radius", type=float, required=True)
     _add_common(pls)
     p.set_defaults(func=_cmd_paths)

@@ -6,9 +6,11 @@ omega_k against one stacked (m, d*d) tensor of coefficients C_k, evaluated
 as (weights of the forms) @ (stack).  Two form systems cover every variant:
 `DifferenceForms`, dz/(z - a_j) minus the same at a reference point (at
 infinity for simple poles), and `ConfigurationForms`, d log(z_i - z_j) on the
-configuration space of n points.  The variants `PointsConnection`,
-`DifferencesConnection` and `ConfigurationConnection` differ only in how
-their coefficients are named and serialized.
+configuration space of n points.  Both are sums of d log(linear function),
+so their periods along lines and arcs are closed-form log increments
+(`periods`).  The variants `PointsConnection`, `DifferencesConnection` and
+`ConfigurationConnection` differ only in how their coefficients are named
+and serialized.
 
 Transport solves dF = Omega(gamma(t)) gamma'(t) F dt with F(start) = I by an
 adaptive embedded Runge-Kutta scheme (DOP853), one solve per piece of the
@@ -40,7 +42,7 @@ from .matrices import (
     matrix_from_json,
     matrix_to_json,
 )
-from .paths import PiecewisePath, PointsDivisor, DiagonalDivisor, puncture_loops
+from .paths import PiecewisePath, PointsDivisor, DiagonalDivisor, puncture_loops, segment_log_increment
 
 __all__ = [
     "NumericsError",
@@ -101,8 +103,28 @@ class BranchCutError(NumericsError):
 # Scalar form systems.
 # ---------------------------------------------------------------------------
 
+class _LogForms:
+    """Forms that are d log of linear functions: their integrals along lines
+    and arcs are log increments in closed form."""
+
+    def periods(self, path: PiecewisePath) -> np.ndarray:
+        """Integrals of all m forms along the path, summed per segment from
+        `segment_log_increment`; no ODE is solved.  Raises
+        `DivisorContactError` where the path comes within MIN_CLEARANCE of
+        the divisor, as transport does."""
+        if path.dimension != self.ambient:
+            raise ValueError(f"path in C^{path.dimension} vs forms on C^{self.ambient}")
+        total = np.zeros(self.count, dtype=complex)
+        for seg in path.segments:
+            clearance = self.divisor.segment_distance(seg)
+            if clearance <= MIN_CLEARANCE:
+                raise DivisorContactError(clearance)
+            total += self._increments(seg)
+        return total
+
+
 @dataclass(frozen=True)
-class DifferenceForms:
+class DifferenceForms(_LogForms):
     """omega_j = dz/(z - a_j) - dz/(z - a_ref) on a punctured line.
 
     reference=None puts the reference puncture at infinity (plain dlog forms).
@@ -139,12 +161,18 @@ class DifferenceForms:
             w -= v0 / (z0 - self.reference)
         return w
 
+    def _increments(self, seg) -> np.ndarray:
+        logs = np.array([segment_log_increment(seg, a) for a in self.points], dtype=complex)
+        if self.reference is not None:
+            logs -= segment_log_increment(seg, self.reference)
+        return logs
+
     def connection(self, coefficients) -> "DifferencesConnection":
         return DifferencesConnection(self.points, tuple(coefficients), reference=self.reference)
 
 
 @dataclass(frozen=True)
-class ConfigurationForms:
+class ConfigurationForms(_LogForms):
     """The forms d log(z_i - z_j) on the configuration space of n points,
     indexed by the lexicographic list of pairs i < j."""
 
@@ -178,6 +206,13 @@ class ConfigurationForms:
         """All form values d log(z_i - z_j)(v) as one vector, in `pairs` order."""
         i, j = self._left, self._right
         return (v[i] - v[j]) / (z[i] - z[j])
+
+    def _increments(self, seg) -> np.ndarray:
+        """z_i - z_j traces a line, an arc or a point in C."""
+        return np.array(
+            [segment_log_increment(seg.difference_curve(i, j), 0.0) for i, j in self.pairs],
+            dtype=complex,
+        )
 
     def connection(self, coefficients) -> "ConfigurationConnection":
         return ConfigurationConnection(self.n, dict(zip(self.pairs, coefficients)))

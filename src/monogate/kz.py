@@ -19,21 +19,28 @@ sign in the exponent is a convention choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import block_diag, expm
 
-from .fuchsian import ConfigurationConnection, NumericsError, integrability_check, transport
+from .fuchsian import (
+    ConfigurationConnection,
+    ConfigurationForms,
+    NumericsError,
+    integrability_check,
+    transport,
+)
 from .matrices import as_square_matrix, frobenius, unitarity_defect
-from .paths import PiecewisePath, braid_word_path, pure_braid_word, segment_log_increment
+from .paths import PiecewisePath, braid_word_path, pure_braid_word
 
 __all__ = [
     "SpinModule",
     "KZSystem",
     "casimir_omega",
     "build_kz",
-    "log_increment",
     "two_point_transport_factor",
     "flip_operator",
     "braid_matrix",
@@ -160,7 +167,8 @@ class KZSystem:
 
 
 def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
-    """Assemble the KZ system; verifies sl2 relations and flatness."""
+    """Assemble the KZ system; verifies sl2 relations and flatness, the latter
+    on each distinct triple of modules when n > 3."""
     modules = tuple(modules)
     if len(modules) < 2:
         raise ValueError("KZ system needs n >= 2 marked points")
@@ -170,37 +178,44 @@ def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
         defect = m.commutator_defect()
         if defect > SL2_COMMUTATOR_TOL:
             raise ValueError(f"spin module {m.spin} violates sl2 relations by {defect:.3e}")
+    sys = _assemble(modules, complex(lam))
+    if len(modules) <= 3:
+        violation = integrability_check(sys.connection()).max_violation
+    else:
+        # O_ij is one two-site operator placed on factors i and j, so pairs on
+        # disjoint factors commute by construction, and each three-site
+        # relation is its value on V_i (x) V_j (x) V_k tensored with the
+        # identity: its Frobenius norm grows by sqrt(dim of the other factors).
+        violation = max(
+            integrability_check(_assemble(triple, sys.lam).connection()).max_violation
+            * math.sqrt(sys.dim / math.prod(m.dim for m in triple))
+            for triple in set(combinations(modules, 3))
+        )
+    if violation > flatness_tol:
+        raise ValueError(f"KZ connection is not flat: violation {violation:.3e}")
+    return sys
+
+
+def _assemble(modules: tuple, lam: complex) -> KZSystem:
     dims = [m.dim for m in modules]
     omegas = {
         (i, j): _on_sites(casimir_omega(modules[i], modules[j]), (i, j), dims)
         for i in range(len(modules))
         for j in range(i + 1, len(modules))
     }
-    sys = KZSystem(modules, complex(lam), omegas)
-    report = integrability_check(sys.connection())
-    if report.max_violation > flatness_tol:
-        raise ValueError(f"KZ connection is not flat: violation {report.max_violation:.3e}")
-    return sys
+    return KZSystem(modules, lam, omegas)
 
 
 # ---------------------------------------------------------------------------
 # The closed-form two-point system.
 # ---------------------------------------------------------------------------
 
-def log_increment(path: PiecewisePath, i: int = 0, j: int = 1) -> complex:
-    """Continuous increment of log(z_i - z_j) along a configuration path,
-    exact per segment: z_i - z_j traces a line, an arc or a point."""
-    return sum(
-        (segment_log_increment(seg.difference_curve(i, j), 0.0) for seg in path.segments), 0j
-    )
-
-
 def two_point_transport_factor(omega, lam: complex, path: PiecewisePath) -> np.ndarray:
     """Exact transport matrix of the n=2 system along a path: e^{(dlog/lambda) Omega}."""
     omega = as_square_matrix(omega)
     if path.dimension != 2:
         raise ValueError("two-point transport needs paths in C^2")
-    dlog = log_increment(path, 0, 1)
+    dlog = ConfigurationForms(2).periods(path)[0]
     return expm((dlog / lam) * omega)
 
 

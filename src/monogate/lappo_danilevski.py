@@ -10,7 +10,8 @@ F(1) = I + sum_k lambda^k F_k(1), and its truncated jet F_0 = I,
 F_r' = sum_{s<=r} Omega_s F_{r-s} is one linear ODE (`jet_monodromy`).  The
 order-k term is 2 pi i U_k^j plus Chen iterated integrals of the lower
 orders, by the loop normalization: the integral of omega_k over gamma_j is
-2 pi i when j = k and 0 otherwise.  So
+2 pi i when j = k and 0 otherwise, which is checked in closed form from the
+periods of the forms (`forms.periods`, exact log increments).  So
 
     U_1^j = M_1^j / (2 pi i),
     U_k^j = (M_k^j - F_k(1)|_{U_k = 0}) / (2 pi i),
@@ -244,15 +245,11 @@ def evaluate_at(family: ConnectionFamily, lam: complex):
     return family.forms.connection(residues)
 
 
-def _check_loop_normalization(forms, loops, tol):
-    """Integrate all forms over each loop at once (one vector ODE per loop)
-    and require the integral of omega_k over loop j to be 2 pi i delta_jk."""
-
-    def rhs_for(seg):
-        return lambda t, y: forms.weights(seg.at(t), seg.velocity(t))
-
+def _check_loop_normalization(forms, loops):
+    """Require the integral of omega_k over loop j to be 2 pi i delta_jk,
+    taking the periods of the forms in closed form."""
     for j, loop in enumerate(loops):
-        got = integrate_along(loop, rhs_for, np.zeros(forms.count, dtype=complex), tol, forms.divisor)
+        got = forms.periods(loop)
         want = TWO_PI_I * np.eye(forms.count)[j]
         bad = np.flatnonzero(np.abs(got - want) > NORMALIZATION_TOL)
         if bad.size:
@@ -268,9 +265,10 @@ def synthesize(targets: RepresentationFamily, forms, loops, order: int,
     """Solve for U_k^j order by order up to `order`.
 
     `loops` must be the generator loops dual to `forms` (integral of omega_k
-    over loop j equal to 2 pi i delta_jk); this is verified numerically
-    before the recursion starts.  Order k then costs one jet solve per loop:
-    the last jet of the partial family, with U_k = 0, is the correction.
+    over loop j equal to 2 pi i delta_jk); this is checked in closed form
+    (`forms.periods`) before the recursion starts.  Order k >= 2 then costs
+    one jet solve per loop: the last jet of the partial family, with U_k = 0,
+    is the correction.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -279,7 +277,7 @@ def synthesize(targets: RepresentationFamily, forms, loops, order: int,
         raise ValueError("need one loop and one form per target generator")
     if targets.order < order:
         raise ValueError(f"targets truncated at {targets.order} < requested order {order}")
-    _check_loop_normalization(forms, loops, tol)
+    _check_loop_normalization(forms, loops)
     for j in range(targets.generators):
         lead = frobenius(targets.coefficients[j][0])
         if lead > 1.0 + 1e-9:

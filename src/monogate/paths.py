@@ -369,7 +369,9 @@ def segment_log_increment(seg: Segment, point: complex) -> complex:
     is the principal log of (b - p)/(a - p).  On an arc c + rho e^{i theta},
     z - p = rho e^{i theta} (1 + w e^{-i theta}) with w = (c - p)/rho when p
     is inside the circle, and (c - p)(1 + u e^{i theta}) with u = rho/(c - p)
-    when it is outside; |w|, |u| < 1 keep the principal log continuous.
+    otherwise.  |w| < 1 keeps the principal log continuous, and so does
+    |u| <= 1: on the circle itself 1 + u e^{i theta} stays in the closed right
+    half-plane, and its zero is the point, which the swept part avoids.
     """
     if seg.dimension != 1:
         raise ValueError("log increments are defined for segments in C")
@@ -379,8 +381,6 @@ def segment_log_increment(seg: Segment, point: complex) -> complex:
     if isinstance(seg, LineSegment):
         return complex(np.log((seg.end_point[0] - p) / (seg.start_point[0] - p)))
     c, rho = complex(seg.center[0]) - p, complex(seg.amplitude[0])
-    if abs(c) == abs(rho):
-        raise ValueError("arc circle passes through the point")
     turns = np.exp(1j * np.array([seg.theta0, seg.theta1]))
     if abs(c) < abs(rho):
         logs = np.log(1.0 + (c / rho) / turns)

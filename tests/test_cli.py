@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from monogate.cli import _validate_args, build_parser, main
 from monogate.fuchsian import PointsConnection, connection_to_json
+from monogate.lappo_danilevski import RepresentationFamily, family_to_json
 from monogate.matrices import matrix_from_json, matrix_to_json
 from monogate.paths import generator_loop, loops_to_json, path_from_json
 
@@ -143,6 +145,23 @@ def test_synth_verify_roundtrip(tmp_path, capsys):
     assert code == 3
 
 
+def test_synth_loop_through_a_puncture_is_numeric_error(tmp_path, capsys):
+    # the approach from 2 to the circle around 0 runs through the puncture at 1
+    targets = RepresentationFamily.zero_targets(2, 1, 1)
+    (tmp_path / "fam.json").write_text(json.dumps(family_to_json(targets)))
+    loops = [generator_loop(2.0, 0.0, 0.3), generator_loop(2.0, 1.0, 0.3)]
+    (tmp_path / "loops.json").write_text(json.dumps(loops_to_json(loops)))
+    code, _, err = run(
+        capsys, "synth",
+        "--targets", str(tmp_path / "fam.json"),
+        "--loops", str(tmp_path / "loops.json"),
+        "--points", "0", "1",
+        "--order", "1",
+    )
+    assert code == 2
+    assert "numerical failure" in err
+
+
 def test_kz_verify_exit_zero(capsys):
     code, out, _ = run(capsys, "kz", "verify", "--n", "3", "--lambda", "3")
     assert code == 0
@@ -276,3 +295,45 @@ def test_threads_env_ignored(capsys, monkeypatch):
         code, out, _ = run(capsys, "gate", "--name", "X")
         assert code == 0
         assert out == plain
+
+
+def _leaf_parser(argv):
+    """The (sub)parser that owns the options of a command line."""
+    parser = build_parser()
+    for word in argv:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs or word not in subs[0].choices:
+            break
+        parser = subs[0].choices[word]
+    return parser
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gate", "--name", "H"],
+        ["paths", "braid", "--n", "3", "--i", "1"],
+        ["paths", "pure-braid", "--n", "3", "--i", "1", "--j", "3"],
+        ["paths", "loop", "--basepoint", "2", "--puncture", "0", "--radius", "0.5"],
+        ["paths", "loops", "--punctures", "0", "1", "--basepoint", "0.5-1.5j", "--radius", "0.3"],
+        ["fuchsian", "monodromy", "--conn", "{dir}/conn.json", "--loops", "{dir}/loops.json"],
+        ["synth", "--targets", "{dir}/fam.json", "--loops", "{dir}/loops.json", "--points", "0", "--order", "1"],
+        ["kz", "braid", "--n", "2", "--lambda", "3"],
+        ["kz", "verify", "--n", "2", "--lambda", "3"],
+        ["universality", "screen", "--names", "X,Z", "--maxlen", "3"],
+        ["universality", "coverage", "--names", "X,Z", "--maxlen", "3", "--samples", "3"],
+        ["pipeline", "--order", "1", "--zero-targets", "--maxlen", "2", "--budget", "10"],
+    ],
+    ids=lambda argv: " ".join(w for w in argv[:2] if not w.startswith("-")),
+)
+def test_report_config_lists_the_subcommand_options_in_parser_order(argv, tmp_path, capsys):
+    conn = PointsConnection((0.0,), (np.array([[0.25]]),))
+    (tmp_path / "conn.json").write_text(json.dumps(connection_to_json(conn)))
+    (tmp_path / "loops.json").write_text(json.dumps(loops_to_json([generator_loop(2.0, 0.0, 0.5)])))
+    targets = RepresentationFamily.zero_targets(1, 1, 1)
+    (tmp_path / "fam.json").write_text(json.dumps(family_to_json(targets)))
+    argv = [w.format(dir=tmp_path) for w in argv]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "report.json"))
+    assert code == 0
+    options = [a.dest for a in _leaf_parser(argv)._actions if a.dest != "help"]
+    assert list(read_report(tmp_path, "report.json")["config"]) == options

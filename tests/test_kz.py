@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from monogate.fuchsian import ConfigurationConnection, NumericsError, integrability_check, transport
+from monogate import kz
+from monogate.fuchsian import (
+    ConfigurationConnection,
+    ConfigurationForms,
+    NumericsError,
+    integrability_check,
+    transport,
+)
 from monogate.gate_core import SIGMA_X, SIGMA_Z
 from monogate.kz import (
     SpinModule,
@@ -14,7 +21,6 @@ from monogate.kz import (
     build_kz,
     casimir_omega,
     flip_operator,
-    log_increment,
     two_point_transport_factor,
     _isotypic_towers,
     _unitarize_block,
@@ -144,6 +150,22 @@ def test_kz_flatness_n3_n4():
         assert integrability_check(sysn.connection()).max_violation <= 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_flatness_checked_on_three_sites_catches_a_broken_coupling(n, monkeypatch):
+    # a coupling that is not sl2 invariant breaks the infinitesimal braid
+    # relations; the three-site check must still see it for n > 3
+    honest = kz.casimir_omega
+
+    def broken(vi, vj):
+        out = honest(vi, vj)
+        out[0, 0] += 0.3
+        return out
+
+    monkeypatch.setattr(kz, "casimir_omega", broken)
+    with pytest.raises(ValueError, match="not flat"):
+        build_kz([HALF] * n, 3.0)
+
+
 def test_zero_coupling_rejected():
     with pytest.raises(ValueError):
         build_kz([HALF, HALF], 0.0)
@@ -174,7 +196,7 @@ def test_two_point_diagonal_rejected():
 
 def test_full_loop_multiplies_by_full_twist(sys2):
     loop = braid_word_path(2, [1, 1])
-    assert abs(log_increment(loop) - 2j * np.pi) < 1e-8
+    assert abs(ConfigurationForms(2).periods(loop)[0] - 2j * np.pi) < 1e-8
     numeric = transport(sys2.connection(), loop, 1e-11)
     closed = expm((2j * np.pi / 3.0) * PRINTED_OMEGA)
     assert frobenius(numeric - closed) < 1e-8

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from monogate import fuchsian
+from monogate import fuchsian, lappo_danilevski
 from monogate.fuchsian import curvature_residual, transport
 from monogate.lappo_danilevski import (
     ConfigurationForms,
@@ -24,7 +24,15 @@ from monogate.lappo_danilevski import (
     verify_match,
 )
 from monogate.matrices import frobenius, random_hermitian, unitarity_defect
-from monogate.paths import braid_word_path, generator_loop, puncture_loops, pure_braid_word
+from monogate.paths import (
+    ArcSegment,
+    LineSegment,
+    PiecewisePath,
+    braid_word_path,
+    generator_loop,
+    puncture_loops,
+    pure_braid_word,
+)
 from oracles import composition_synthesize, compositions
 
 TWO_PI_I = 2j * np.pi
@@ -41,8 +49,29 @@ def line_loops():
     return puncture_loops([0.0, 1.0], 0.5 - 1.5j, 0.3)
 
 
+@pytest.fixture
+def solve_count(monkeypatch):
+    """One entry per adaptive solve (`solve_ivp` as `fuchsian` binds it)."""
+    calls = []
+    solve_ivp = fuchsian.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", counting)
+    return calls
+
+
 def small_hermitian(rng, scale=0.15):
     return random_hermitian(2, rng, norm_bound=scale)
+
+
+def arc_and_chord_loop():
+    """The unit circle from pi/4 to 7 pi/4 closed by its chord: it winds once
+    around 0, and its circle passes through 1 outside the swept part."""
+    arc = ArcSegment(np.array([0j]), np.array([1 + 0j]), np.pi / 4, 7 * np.pi / 4)
+    return PiecewisePath((arc, LineSegment(arc.end_point, arc.start_point)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +137,62 @@ def test_matrix_chen_matches_scalar_expansion(line_forms):
         for j2 in (0, 1):
             expansion += chen_integral(line_forms, [j1, j2], loop, 1e-11) * (u[j1] @ u[j2])
     assert frobenius(direct - expansion) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Periods in closed form.
+# ---------------------------------------------------------------------------
+
+def period_cases():
+    """(forms, paths): lines and arcs, a finite reference, an arc whose circle
+    meets a puncture, open paths, and pure-braid loops with an open braid."""
+    config = ConfigurationForms(3)
+    loop = arc_and_chord_loop()
+    outside_arc = ArcSegment(np.array([1 + 0j]), np.array([0.5 + 0j]), 0.0, np.pi / 2)
+    approach = LineSegment(np.array([0.5 - 1.5j]), outside_arc.start_point)
+    return {
+        "lines_and_arcs": (DifferenceForms((0.0, 1.0)), puncture_loops([0.0, 1.0], 0.5 - 1.5j, 0.3)),
+        "finite_reference": (
+            DifferenceForms((0.0, 1.0, 2.0), reference=5.0 + 2.0j),
+            puncture_loops([0.0, 1.0, 2.0], 1.0 - 1.5j, 0.3),
+        ),
+        "circle_through_puncture": (
+            DifferenceForms((0.0, 1.0)),
+            [loop, generator_loop(loop.start[0], 1.0, 0.2, avoid=(0.0,))],
+        ),
+        "open_paths": (
+            DifferenceForms((0.5, 0.0), reference=-1.0j),
+            [PiecewisePath((approach, outside_arc)), PiecewisePath((outside_arc,))],
+        ),
+        "configuration": (
+            config,
+            [braid_word_path(3, pure_braid_word(3, i + 1, j + 1)) for (i, j) in config.pairs]
+            + [braid_word_path(3, [1, -2])],
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(period_cases()))
+def test_periods_match_the_ode_integrals(case):
+    forms, paths = period_cases()[case]
+    for path in paths:
+        got = forms.periods(path)
+        want = [chen_integral(forms, [k], path, 1e-11) for k in range(forms.count)]
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_periods_check_the_divisor_clearance(line_forms):
+    # the approach from 2 to the circle around 0 runs through the puncture at 1
+    with pytest.raises(fuchsian.DivisorContactError):
+        line_forms.periods(generator_loop(2.0, 0.0, 0.3))
+
+
+def test_loop_normalization_solves_no_ode(line_forms, line_loops, solve_count):
+    lappo_danilevski._check_loop_normalization(line_forms, line_loops)
+    config = ConfigurationForms(3)
+    braids = [braid_word_path(3, pure_braid_word(3, i + 1, j + 1)) for (i, j) in config.pairs]
+    lappo_danilevski._check_loop_normalization(config, braids)
+    assert solve_count == []
 
 
 def test_compositions():
@@ -200,17 +285,10 @@ def test_synthesize_matches_composition_sum(case):
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
-def test_synthesis_cost_is_linear_in_order(order, line_forms, line_loops, monkeypatch):
-    # 3 segments per loop: the normalization check takes 3m solves and each
-    # order k >= 2 one jet solve per loop, 3m(K - 1); m = 2 gives 6K
-    calls = []
-    solve_ivp = fuchsian.solve_ivp
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(fuchsian, "solve_ivp", counting)
+def test_synthesis_cost_is_linear_in_order(order, line_forms, line_loops, solve_count):
+    # 3 segments per loop: the loop normalization is checked in closed form,
+    # and each order k >= 2 takes one jet solve per loop, 3m(K - 1) solves;
+    # m = 2 gives 6(K - 1)
     rng = np.random.default_rng(71)
     targets = RepresentationFamily.exponential_targets(
         [small_hermitian(rng), small_hermitian(rng)], order
@@ -218,7 +296,7 @@ def test_synthesis_cost_is_linear_in_order(order, line_forms, line_loops, monkey
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         synthesize(targets, line_forms, line_loops, order, tol=1e-10)
-    assert len(calls) == 6 * order
+    assert len(solve_count) == 6 * (order - 1)
 
 
 def test_loop_normalization_verified(line_forms):
@@ -227,6 +305,27 @@ def test_loop_normalization_verified(line_forms):
     targets = RepresentationFamily.zero_targets(2, 2, 1)
     with pytest.raises(ValueError):
         synthesize(targets, line_forms, loops, 1, tol=1e-10)
+
+
+def test_open_path_is_not_dual(line_forms, line_loops):
+    approach = PiecewisePath(line_loops[0].segments[:1])
+    targets = RepresentationFamily.zero_targets(2, 2, 1)
+    with pytest.raises(ValueError, match="not dual"):
+        synthesize(targets, line_forms, [approach, line_loops[1]], 1, tol=1e-10)
+
+
+def test_synthesis_on_a_loop_whose_circle_meets_another_puncture(line_forms):
+    # the arc of the first loop lies on the unit circle, which passes through
+    # the puncture at 1 outside the swept part
+    first = arc_and_chord_loop()
+    loops = [first, generator_loop(first.start[0], 1.0, 0.2, avoid=(0.0,))]
+    rng = np.random.default_rng(72)
+    targets = RepresentationFamily.exponential_targets(
+        [small_hermitian(rng), small_hermitian(rng)], 3
+    )
+    fam = synthesize(targets, line_forms, loops, 3, tol=1e-11)
+    residuals = series_residuals(fam, targets, loops, tol=1e-11)
+    assert max(max(r) for r in residuals) < 1e-8
 
 
 def test_order_truncation_validated(line_forms, line_loops):

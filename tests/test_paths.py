@@ -88,6 +88,17 @@ def test_segment_log_increment_closed_forms():
         segment_log_increment(line, 2.0)  # at an end
 
 
+def test_log_increment_on_an_arc_whose_circle_meets_the_point():
+    # the circle |z - 1| = 0.5 passes through 0.5, the sweep [0, pi/2] does not
+    arc = ArcSegment(np.array([1.0 + 0j]), np.array([0.5 + 0j]), 0.0, np.pi / 2)
+    assert segment_log_increment(arc, 0.5) == pytest.approx(np.log(0.5 + 0.5j), abs=1e-15)
+    # the unit circle from pi/4 to 7 pi/4, closed by its chord, meets 1 only on its circle
+    sweep = ArcSegment(np.array([0j]), np.array([1 + 0j]), np.pi / 4, 7 * np.pi / 4)
+    loop = PiecewisePath((sweep, LineSegment(sweep.end_point, sweep.start_point)))
+    assert winding_number(loop, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert winding_number(loop, 1.0) == pytest.approx(0.0, abs=1e-14)
+
+
 def test_concat_with_inverse_has_zero_winding():
     loop = generator_loop(2.0, 0.0, 0.5)
     both = concat(loop, invert(loop))
