@@ -168,7 +168,7 @@ class KZSystem:
 
 def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
     """Assemble the KZ system; verifies sl2 relations and flatness, the latter
-    on each distinct triple of modules when n > 3."""
+    on each distinct triple of modules."""
     modules = tuple(modules)
     if len(modules) < 2:
         raise ValueError("KZ system needs n >= 2 marked points")
@@ -179,18 +179,18 @@ def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
         if defect > SL2_COMMUTATOR_TOL:
             raise ValueError(f"spin module {m.spin} violates sl2 relations by {defect:.3e}")
     sys = _assemble(modules, complex(lam))
-    if len(modules) <= 3:
-        violation = integrability_check(sys.connection()).max_violation
-    else:
-        # O_ij is one two-site operator placed on factors i and j, so pairs on
-        # disjoint factors commute by construction, and each three-site
-        # relation is its value on V_i (x) V_j (x) V_k tensored with the
-        # identity: its Frobenius norm grows by sqrt(dim of the other factors).
-        violation = max(
+    # O_ij is one two-site operator placed on factors i and j, so pairs on
+    # disjoint factors commute by construction, and each three-site relation
+    # is its value on V_i (x) V_j (x) V_k tensored with the identity: its
+    # Frobenius norm grows by sqrt(dim of the other factors).
+    violation = max(
+        (
             integrability_check(_assemble(triple, sys.lam).connection()).max_violation
             * math.sqrt(sys.dim / math.prod(m.dim for m in triple))
             for triple in set(combinations(modules, 3))
-        )
+        ),
+        default=0.0,
+    )
     if violation > flatness_tol:
         raise ValueError(f"KZ connection is not flat: violation {violation:.3e}")
     return sys
@@ -213,8 +213,6 @@ def _assemble(modules: tuple, lam: complex) -> KZSystem:
 def two_point_transport_factor(omega, lam: complex, path: PiecewisePath) -> np.ndarray:
     """Exact transport matrix of the n=2 system along a path: e^{(dlog/lambda) Omega}."""
     omega = as_square_matrix(omega)
-    if path.dimension != 2:
-        raise ValueError("two-point transport needs paths in C^2")
     dlog = ConfigurationForms(2).periods(path)[0]
     return expm((dlog / lam) * omega)
 

@@ -9,6 +9,7 @@ from monogate import kz
 from monogate.fuchsian import (
     ConfigurationConnection,
     ConfigurationForms,
+    DivisorContactError,
     NumericsError,
     integrability_check,
     transport,
@@ -150,10 +151,10 @@ def test_kz_flatness_n3_n4():
         assert integrability_check(sysn.connection()).max_violation <= 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_flatness_checked_on_three_sites_catches_a_broken_coupling(n, monkeypatch):
     # a coupling that is not sl2 invariant breaks the infinitesimal braid
-    # relations; the three-site check must still see it for n > 3
+    # relations; the three-site check must see it for every n >= 3
     honest = kz.casimir_omega
 
     def broken(vi, vj):
@@ -210,6 +211,13 @@ def test_open_path_matches_closed_form():
         numeric = transport(sysv.connection(), path, 1e-11)
         closed = two_point_transport_factor(PRINTED_OMEGA, lam, path)
         assert frobenius(numeric - closed) < 1e-9
+
+
+def test_two_point_factor_rejects_a_path_grazing_the_diagonal():
+    # z_1 - z_2 runs from -1 to 1 - 1e-10 i, passing within 1e-10 of zero
+    seg = LineSegment(np.array([0.0, 1.0], complex), np.array([1.0, 1e-10j], complex))
+    with pytest.raises(DivisorContactError):
+        two_point_transport_factor(PRINTED_OMEGA, 3.0, PiecewisePath((seg,)))
 
 
 # ---------------------------------------------------------------------------
