@@ -12,12 +12,15 @@ so their periods along lines and arcs are closed-form log increments
 `ConfigurationConnection` differ only in how their coefficients are named
 and serialized.
 
-Transport solves dF = Omega(gamma(t)) gamma'(t) F dt with F(start) = I by an
-adaptive embedded Runge-Kutta scheme (DOP853), one solve per piece of the
-path, with the step capped by the piece's own distance from the divisor.  A
-segment is one piece unless it dips toward the divisor in its interior; then
-it is cut into pieces graded by clearance, so a loop that passes a pole at
-distance h costs O(log(1/h)) solver steps rather than O(1/h).
+Every ODE in the package is one call of `integrate_along`: it drives a
+column block Y of dY = Omega(gamma(t)) gamma'(t) Y dt by an adaptive
+embedded Runge-Kutta scheme (DOP853), one solve per piece of the path, with
+the step capped by the piece's own distance from the divisor.  Transport is
+the block Y(start) = I; jets and Chen integrals are transports of nilpotent
+block connections over the same forms (`lappo_danilevski`).  A segment is
+one piece unless it dips toward the divisor in its interior; then it is cut
+into pieces graded by clearance, so a loop that passes a pole at distance h
+costs O(log(1/h)) solver steps rather than O(1/h).
 
 Composition convention: loops act on solution columns, so traversing gamma
 then delta gives M(delta) @ M(gamma).  The X_4 relation M1 M2 M3 M4 = I holds
@@ -392,12 +395,11 @@ def _graded_pieces(seg, clearance: float, divisor):
     return pieces
 
 
-def integrate_along(path: PiecewisePath, rhs_for_segment, y0: np.ndarray, tol: float,
-                    divisor) -> np.ndarray:
-    """Drive an ODE state along a path, piece by piece.
+def integrate_along(path: PiecewisePath, conn: Connection, y0: np.ndarray, tol: float) -> np.ndarray:
+    """Drive a column block Y of dY = Omega Y along a path, piece by piece.
 
-    `rhs_for_segment(seg)` must return an f(t, y) for t in [0, 1]; it is
-    called with whole segments and with pieces of them (`seg.piece`).  The
+    Omega = `conn.contract(z, v)`; Y starts at y0 (conn.dim rows, any
+    number of columns) and is returned at the path end in y0's shape.  The
     local solver tolerance sits two orders below `tol`.  Each piece is one
     solve whose step is capped at 0.5 x (the piece's own clearance from the
     divisor) / speed, so no step can skip a pole.  Segments that pass close
@@ -407,18 +409,25 @@ def integrate_along(path: PiecewisePath, rhs_for_segment, y0: np.ndarray, tol: f
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if path.dimension != conn.ambient:
+        raise ValueError(f"path in C^{path.dimension} vs connection on C^{conn.ambient}")
     rtol = max(tol * 1e-2, 3e-14)
     atol = max(tol * 1e-3, 1e-14)
-    state = np.asarray(y0, dtype=complex).reshape(-1)
+    d = conn.dim
+    y0 = np.asarray(y0, dtype=complex)
+    state = y0.reshape(-1)
     for seg in path.segments:
-        clearance = divisor.segment_distance(seg)
+        clearance = conn.divisor.segment_distance(seg)
         if clearance <= MIN_CLEARANCE:
             raise DivisorContactError(clearance)
         if seg.max_speed() == 0.0:
             continue
-        for piece, piece_clearance in _graded_pieces(seg, clearance, divisor):
+        for piece, piece_clearance in _graded_pieces(seg, clearance, conn.divisor):
+            def rhs(t, y):
+                return (conn.contract(piece.at(t), piece.velocity(t)) @ y.reshape(d, -1)).reshape(-1)
+
             sol = solve_ivp(
-                rhs_for_segment(piece),
+                rhs,
                 (0.0, 1.0),
                 state,
                 method="DOP853",
@@ -429,24 +438,12 @@ def integrate_along(path: PiecewisePath, rhs_for_segment, y0: np.ndarray, tol: f
             if not sol.success:
                 raise TransportError(f"integrator failed: {sol.message}", piece_clearance)
             state = sol.y[:, -1]
-    return state
+    return state.reshape(y0.shape)
 
 
 def transport(conn: Connection, path: PiecewisePath, tol: float = 1e-10) -> np.ndarray:
     """Path-ordered exponential: F at the path end with F(start) = I."""
-    if path.dimension != conn.ambient:
-        raise ValueError(f"path in C^{path.dimension} vs connection on C^{conn.ambient}")
-    d = conn.dim
-
-    def rhs_for(seg):
-        def rhs(t, y):
-            a = conn.contract(seg.at(t), seg.velocity(t))
-            return (a @ y.reshape(d, d)).reshape(-1)
-
-        return rhs
-
-    out = integrate_along(path, rhs_for, np.eye(d, dtype=complex).reshape(-1), tol, conn.divisor)
-    return out.reshape(d, d)
+    return integrate_along(path, conn, np.eye(conn.dim, dtype=complex), tol)
 
 
 @dataclass(frozen=True)

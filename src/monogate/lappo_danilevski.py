@@ -6,12 +6,11 @@ connection family Omega(lambda) = sum_k lambda^k sum_j U_k^j omega_j whose
 monodromy matches order by order.
 
 The monodromy of dF = Omega(lambda) F along gamma_j expands as
-F(1) = I + sum_k lambda^k F_k(1), and its truncated jet F_0 = I,
-F_r' = sum_{s<=r} Omega_s F_{r-s} is one linear ODE (`jet_monodromy`).  The
-order-k term is 2 pi i U_k^j plus Chen iterated integrals of the lower
-orders, by the loop normalization: the integral of omega_k over gamma_j is
-2 pi i when j = k and 0 otherwise, which is checked in closed form from the
-periods of the forms (`forms.periods`, exact log increments).  So
+F(1) = I + sum_k lambda^k F_k(1).  The order-k term is 2 pi i U_k^j plus Chen
+iterated integrals of the lower orders, by the loop normalization: the
+integral of omega_k over gamma_j is 2 pi i when j = k and 0 otherwise, which
+is checked in closed form from the periods of the forms (`forms.periods`,
+exact log increments).  So
 
     U_1^j = M_1^j / (2 pi i),
     U_k^j = (M_k^j - F_k(1)|_{U_k = 0}) / (2 pi i),
@@ -19,17 +18,21 @@ periods of the forms (`forms.periods`, exact log increments).  So
 where F_k(1)|_{U_k = 0} is the jet of the partial family (orders below k,
 with U_k = 0 appended) around gamma_j: one jet solve per order and loop.
 
-Iterated-integral time ordering follows the Picard expansion of dF = Omega F:
-in a word the leftmost form is evaluated at the latest time.  Every solve
-goes through the adaptive integrator of the forward transport.  A connection
-family is one stacked (forms, orders, d*d) coefficient tensor, contracted
-with the vector of scalar form weights in one matmul.
+Nothing here has an ODE of its own (Chen, Bull. AMS 83, 1977): every
+iterated integral is a block of the transport of a nilpotent connection over
+the same forms, started from [I; 0; ...; 0].  The jet F_0 = I,
+F_r' = sum_{s<=r} Omega_s F_{r-s} is the block-Toeplitz connection with
+Omega_s on the blocks (r, r - s) (`jet_monodromy`); a word W_1 ... W_q is
+the ladder with its letters on the sub-diagonal blocks
+(`matrix_chen_integral`), and a scalar word is the ladder of 1 x 1 one-hot
+letters (`chen_integral`).  Time ordering follows the Picard expansion of
+dF = Omega F: in a word the leftmost form is evaluated at the latest time.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,63 +72,48 @@ NORMALIZATION_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Chen iterated integrals by triangular ODE augmentation.
+# Chen iterated integrals as transports of nilpotent connections.
 # ---------------------------------------------------------------------------
+
+def _first_column(forms, blocks: np.ndarray, path: PiecewisePath, tol: float) -> np.ndarray:
+    """Transport of the connection whose coefficient on form j is the block
+    matrix blocks[j] (shape (m, N, d, N, d)), started from [I; 0; ...; 0];
+    returns the N blocks of the first block column, shape (N, d, d)."""
+    m, n, d = blocks.shape[:3]
+    conn = forms.connection(blocks.reshape(m, n * d, n * d))
+    return integrate_along(path, conn, np.eye(n * d, d, dtype=complex), tol).reshape(n, d, d)
+
 
 def chen_integral(forms, word, path: PiecewisePath, tol: float = 1e-10) -> complex:
     """Iterated integral of the scalar forms omega_{word[0]} ... omega_{word[-1]}.
 
-    The leftmost index is attached to the latest time along the path.
+    The leftmost index is attached to the latest time along the path.  It is
+    `matrix_chen_integral` with 1 x 1 letters, form j's letter one-hot at j.
     """
     word = list(word)
     if not word:
         raise ValueError("empty form word")
     if any(not 0 <= j < forms.count for j in word):
         raise ValueError(f"form index out of range in {word}")
-    rev = word[::-1]
-    k = len(word)
-
-    def rhs_for(seg):
-        def rhs(t, y):
-            vals = forms.weights(seg.at(t), seg.velocity(t))[rev]
-            dy = np.empty(k, dtype=complex)
-            dy[0] = vals[0]
-            dy[1:] = vals[1:] * y[:-1]
-            return dy
-
-        return rhs
-
-    out = integrate_along(path, rhs_for, np.zeros(k, dtype=complex), tol, forms.divisor)
-    return complex(out[-1])
+    letters = np.eye(forms.count)[word].reshape(len(word), forms.count, 1, 1)
+    return complex(matrix_chen_integral(forms, letters, path, tol)[0, 0])
 
 
-def matrix_chen_integral(evaluators, path: PiecewisePath, tol: float, divisor, dim: int) -> np.ndarray:
-    """Iterated integral of matrix-valued forms W_1 ... W_q (leftmost latest).
+def matrix_chen_integral(forms, words, path: PiecewisePath, tol: float) -> np.ndarray:
+    """Iterated integral of the matrix forms W_1 ... W_q (leftmost latest).
 
-    Each evaluator maps (z, v) to a dim x dim matrix.  The companion system
-    stacks the q prefix integrals; only the innermost slot feeds the identity.
+    Each letter is an (m, d, d) coefficient stack over `forms`: words[0]
+    holds W_1 = sum_j words[0][j] omega_j, and so on.  Chen's ladder: the
+    nilpotent connection with W_q, ..., W_1 on the sub-diagonal blocks (q+1
+    block rows, W_1 at the bottom) transports [I; 0; ...; 0] to the integrals
+    of the suffixes W_q, W_{q-1} W_q, ..., the last being the whole word.
     """
-    evaluators = list(evaluators)
-    q = len(evaluators)
-    rev = evaluators[::-1]
-    eye = np.eye(dim, dtype=complex)
-
-    def rhs_for(seg):
-        def rhs(t, y):
-            z, v = seg.at(t), seg.velocity(t)
-            mats = [w(z, v) for w in rev]
-            blocks = y.reshape(q, dim, dim)
-            out = np.empty_like(blocks)
-            out[0] = mats[0] @ eye
-            for r in range(1, q):
-                out[r] = mats[r] @ blocks[r - 1]
-            return out.reshape(-1)
-
-        return rhs
-
-    y0 = np.zeros(q * dim * dim, dtype=complex)
-    out = integrate_along(path, rhs_for, y0, tol, divisor)
-    return out.reshape(q, dim, dim)[-1]
+    words = np.asarray(words, dtype=complex)
+    q, m, d = words.shape[:3]
+    blocks = np.zeros((m, q + 1, d, q + 1, d), dtype=complex)
+    for r, letter in enumerate(words[::-1], start=1):
+        blocks[:, r, :, r - 1] = letter
+    return _first_column(forms, blocks, path, tol)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +190,12 @@ class ConnectionFamily:
 
     forms: DifferenceForms | ConfigurationForms
     coefficients: tuple[tuple[np.ndarray, ...], ...]  # [generator][k-1]
-    # The coefficients as one (forms, orders, d*d) tensor, for `jet_monodromy`.
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(tuple(as_square_matrix(m) for m in gen) for gen in self.coefficients)
         if len(coeffs) != self.forms.count:
             raise ValueError("one coefficient series per form required")
         object.__setattr__(self, "coefficients", coeffs)
-        stack = np.array(coeffs, dtype=complex)
-        object.__setattr__(self, "_stack", stack.reshape(stack.shape[0], stack.shape[1], -1))
 
     @property
     def order(self) -> int:
@@ -301,28 +285,17 @@ def jet_monodromy(family: ConnectionFamily, loop: PiecewisePath, order: int,
                   tol: float = 1e-10) -> list[np.ndarray]:
     """Order-by-order monodromy of the family along one loop.
 
-    Integrates the truncated jet of dF = Omega(lambda) F: F_0 = I and
-    F_r' = sum_{s<=r} Omega_s F_{r-s}.  Returns [F_1(1), ..., F_order(1)].
+    The truncated jet of dF = Omega(lambda) F, F_0 = I and F_r' = sum_{s<=r}
+    Omega_s F_{r-s}, is the first block column of the transport of one
+    block-Toeplitz connection: Omega_s on the blocks (r, r - s) of an
+    (order + 1)-block matrix.  Returns [F_1(1), ..., F_order(1)].
     """
     if order > family.order:
         raise ValueError("family is truncated below the requested order")
-    dim = family.dim
-    stack = family._stack[:, :order].reshape(family.forms.count, -1)
-
-    def rhs_for(seg):
-        def rhs(t, y):
-            omegas = (family.forms.weights(seg.at(t), seg.velocity(t)) @ stack).reshape(order, dim, dim)
-            blocks = y.reshape(order, dim, dim)
-            out = omegas.copy()
-            for r in range(1, order):
-                out[r] += (omegas[:r] @ blocks[r - 1::-1]).sum(axis=0)
-            return out.reshape(-1)
-
-        return rhs
-
-    y0 = np.zeros(order * dim * dim, dtype=complex)
-    out = integrate_along(loop, rhs_for, y0, tol, family.forms.divisor)
-    return list(out.reshape(order, dim, dim))
+    shifts = np.array([np.eye(order + 1, k=-s) for s in range(1, order + 1)])
+    series = np.array(family.coefficients, dtype=complex)[:, :order]
+    blocks = np.einsum("src,jsab->jracb", shifts, series)
+    return list(_first_column(family.forms, blocks, loop, tol)[1:])
 
 
 def series_residuals(family: ConnectionFamily, targets: RepresentationFamily, loops,

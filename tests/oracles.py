@@ -4,9 +4,10 @@ Each oracle computes something the library also computes, by a different
 and slower route, so tests can compare the two:
 
 * `compositions` and `composition_synthesize`: the Lappo-Danilevski recursion
-  as an explicit sum over integer compositions, one matrix Chen integral per
-  composition (2^(k-1) - 1 solves per generator at order k), against the
-  library's single jet solve per order and loop.
+  as an explicit sum over integer compositions, one matrix Chen integral (a
+  ladder connection with the orders' coefficient stacks as letters) per
+  composition, 2^(k-1) - 1 solves per generator at order k, against the
+  library's single block-Toeplitz jet solve per order and loop.
 * `casimir_omega_via_coproduct`: the two-site Casimir coupling from the
   coproduct of the Casimir element.
 * `two_point_solution`: the closed-form solution of the n = 2 KZ system.
@@ -14,6 +15,9 @@ and slower route, so tests can compare the two:
 * `unitarize_representation`: the most definite invariant Hermitian form of
   any representation by supergradient ascent over the space of forms,
   against `unitarize_kz`'s unique form per multiplicity block.
+* `jimbo_braid_rep`: Jimbo's R-matrix representation of the braid group,
+  which by Drinfeld-Kohno has the same braid-word traces as the spin-1/2 KZ
+  gates at q = e^{pi i / lambda}, with no transport at all.
 * `closure_levels_reference`: the breadth-first projective closure with one
   matmul, one `dedup_key` and one set probe per product, against
   `universality._closure_levels`'s stacked products and keys per frontier
@@ -49,19 +53,15 @@ def composition_synthesize(targets, forms, loops, order: int, tol: float = 1e-10
     """
     dim = targets.dim
     series = [[] for _ in range(targets.generators)]
-
-    def omega(k):
-        mats = np.array([gen[k - 1] for gen in series])
-        return lambda z, v: np.tensordot(forms.weights(z, v), mats, axes=1)
-
     for k in range(1, order + 1):
-        evaluators = {p: omega(p) for p in range(1, k)}
+        # Omega_p as its (forms, d, d) coefficient stack
+        omegas = {p: np.array([gen[p - 1] for gen in series]) for p in range(1, k)}
         for j in range(targets.generators):
             correction = np.zeros((dim, dim), dtype=complex)
             for q in range(2, k + 1):
                 for parts in compositions(k, q):
-                    words = [evaluators[p] for p in parts]
-                    correction += matrix_chen_integral(words, loops[j], tol, forms.divisor, dim)
+                    words = [omegas[p] for p in parts]
+                    correction += matrix_chen_integral(forms, words, loops[j], tol)
             series[j].append((targets.coefficients[j][k - 1] - correction) / TWO_PI_I)
     return ConnectionFamily(forms, tuple(tuple(gen) for gen in series))
 
@@ -213,3 +213,17 @@ def closure_levels_reference(gs, maxlen: int, node_budget: int):
         if budget_exhausted:
             break
     return elements, levels, saturated, budget_exhausted
+
+
+def jimbo_braid_rep(n: int, q: complex) -> list[np.ndarray]:
+    """Jimbo's R-matrix representation of B_n on (C^2)^{(x) n}.
+
+    sigma_i acts on factors i, i+1 by R = q^{-1/2} [[q, 0, 0, 0], [0, 0, 1, 0],
+    [0, 1, q - q^{-1}, 0], [0, 0, 0, q]] in the basis (++, +-, -+, --).  By
+    Drinfeld-Kohno it is equivalent to the spin-1/2 KZ braid gates at
+    q = e^{pi i / lambda}."""
+    q = complex(q)
+    r = q**-0.5 * np.array(
+        [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, q]], dtype=complex
+    )
+    return [np.kron(np.kron(np.eye(2 ** (i - 1)), r), np.eye(2 ** (n - i - 1))) for i in range(1, n)]

@@ -29,6 +29,7 @@ from monogate.paths import (
     LineSegment,
     PiecewisePath,
     PointsDivisor,
+    braid_word_path,
     concat,
     generator_loop,
     invert,
@@ -136,12 +137,30 @@ def test_divisor_contact_rejected():
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
-def test_integrate_along_needs_finite_positive_tol(unit_loop, tol):
-    def rhs_for_segment(seg):
+def test_integrate_along_needs_finite_positive_tol(unit_loop, tol, monkeypatch):
+    def no_solve(*args, **kwargs):
         raise AssertionError("tol must be rejected before any solve")
 
+    monkeypatch.setattr(fuchsian, "solve_ivp", no_solve)
+    conn = PointsConnection((0.0,), (np.eye(2),))
     with pytest.raises(ValueError, match="tol"):
-        fuchsian.integrate_along(unit_loop, rhs_for_segment, np.eye(2), tol, PointsDivisor((0.0,)))
+        fuchsian.integrate_along(unit_loop, conn, np.eye(2), tol)
+
+
+def test_integrate_along_transports_a_column_block():
+    # a (d, 2) start block is carried like its columns: Y(end) = F Y0
+    rng = np.random.default_rng(71)
+    loop_conn = DifferencesConnection((0.0, 1.0), tuple(random_hermitian(2, rng, 0.4) for _ in range(2)))
+    braid_conn = ConfigurationConnection(3, {pair: random_hermitian(3, rng, 0.3) for pair in ((0, 1), (0, 2), (1, 2))})
+    cases = [
+        (loop_conn, generator_loop(0.5 - 1.5j, 0.0, 0.3, avoid=(1.0,))),
+        (braid_conn, braid_word_path(3, [1, -2, 1])),
+    ]
+    for conn, path in cases:
+        y0 = rng.standard_normal((conn.dim, 2)) + 1j * rng.standard_normal((conn.dim, 2))
+        got = fuchsian.integrate_along(path, conn, y0, 1e-11)
+        assert got.shape == y0.shape
+        assert frobenius(got - transport(conn, path, 1e-11) @ y0) < 1e-9
 
 
 def test_dimension_mismatch_rejected(unit_loop):

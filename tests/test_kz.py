@@ -1,8 +1,9 @@
-from functools import reduce
+from functools import cache, reduce
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from monogate import kz
@@ -31,7 +32,12 @@ from monogate.kz import (
 )
 from monogate.matrices import frobenius, unitarity_defect
 from monogate.paths import LineSegment, PiecewisePath, braid_word_path
-from oracles import casimir_omega_via_coproduct, two_point_solution, unitarize_representation
+from oracles import (
+    casimir_omega_via_coproduct,
+    jimbo_braid_rep,
+    two_point_solution,
+    unitarize_representation,
+)
 
 HALF = SpinModule(0.5)
 
@@ -268,6 +274,29 @@ def test_braid_matrix_requires_identical_modules():
     mixed = build_kz([SpinModule(0.5), SpinModule(1.0)], 3.0)
     with pytest.raises(ValueError):
         braid_matrix(mixed, 1)
+
+
+@cache
+def half_spin_gates(n: int, lam: float) -> tuple[np.ndarray, ...]:
+    sys = build_kz([HALF] * n, lam)
+    return tuple(braid_matrix(sys, i) for i in range(1, n))
+
+
+@pytest.mark.parametrize("lam", [3.0, 3.3, 4.0, 7.5])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_braid_word_traces_match_the_jimbo_representation(n, lam, data):
+    # Drinfeld-Kohno: the spin-1/2 KZ gates are equivalent to Jimbo's R-matrix
+    # representation at q = e^{pi i / lambda}, integer levels included, so
+    # every braid word has the same trace in both; q = e^{-pi i / lambda}
+    # misses by O(10)
+    letters = [s * i for i in range(1, n) for s in (1, -1)]
+    word = data.draw(st.lists(st.sampled_from(letters), min_size=8, max_size=8))
+    jimbo = jimbo_braid_rep(n, np.exp(1j * np.pi / lam))
+    got = np.trace(braid_word_matrix(half_spin_gates(n, lam), word))
+    want = np.trace(braid_word_matrix(jimbo, word))
+    assert abs(got - want) < 1e-9
 
 
 def test_braid_word_matrix_inverse():

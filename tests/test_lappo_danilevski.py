@@ -2,9 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from monogate import fuchsian, lappo_danilevski
+from monogate import fuchsian, kz, lappo_danilevski
 from monogate.fuchsian import curvature_residual, transport
 from monogate.lappo_danilevski import (
     ConfigurationForms,
@@ -122,21 +123,82 @@ def test_chen_word_validation(line_forms):
         chen_integral(line_forms, [2], loop, 1e-10)
 
 
+def composition_defect(forms, path, cut, word, tol=1e-11) -> float:
+    """|int_gamma w - sum over w = w'w'' of int_{gamma_2} w' int_{gamma_1} w''|
+    for gamma cut after `cut` segments into gamma_1 then gamma_2; the empty
+    word counts 1 and one-letter words are the closed-form periods."""
+    first, second = PiecewisePath(path.segments[:cut]), PiecewisePath(path.segments[cut:])
+
+    def integral(part, sub):
+        if not sub:
+            return 1.0
+        if len(sub) == 1:
+            return forms.periods(part)[sub[0]]
+        return chen_integral(forms, sub, part, tol)
+
+    split = sum(integral(second, word[:i]) * integral(first, word[i:]) for i in range(len(word) + 1))
+    return abs(chen_integral(forms, word, path, tol) - split)
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.lists(st.integers(0, 1), min_size=2, max_size=3), cut=st.integers(1, 2))
+def test_chen_path_composition_on_a_generator_loop(word, cut):
+    # Chen's identity pins the leftmost-latest order: the left factor of a
+    # word lives on the later piece of the path (the shuffle identity cannot
+    # tell the two orders apart)
+    forms = DifferenceForms((0.0, 1.0))
+    loop = generator_loop(0.5 - 1.5j, 0.0, 0.3, avoid=(1.0,))
+    assert composition_defect(forms, loop, cut, word) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.lists(st.integers(0, 2), min_size=2, max_size=3), cut=st.integers(1, 3))
+def test_chen_path_composition_on_a_pure_braid(word, cut):
+    # tau_13 = s_2 s_1^2 s_2^{-1}, one arc per letter, cut between letters
+    forms = ConfigurationForms(3)
+    path = braid_word_path(3, pure_braid_word(3, 1, 3))
+    assert composition_defect(forms, path, cut, word) < 1e-9
+
+
 def test_matrix_chen_matches_scalar_expansion(line_forms):
     # matrix-valued word integral = sum over scalar words times coefficient products
     rng = np.random.default_rng(3)
     u = [random_hermitian(2, rng), random_hermitian(2, rng)]
     loop = generator_loop(0.5 - 1.5j, 0.0, 0.3, avoid=(1.0,))
+    omega = np.array(u)  # u[0] omega_0 + u[1] omega_1 as a coefficient stack
 
-    def omega(z, v):
-        return u[0] * line_forms.weights(z, v)[0] + u[1] * line_forms.weights(z, v)[1]
-
-    direct = matrix_chen_integral([omega, omega], loop, 1e-11, line_forms.divisor, 2)
+    direct = matrix_chen_integral(line_forms, [omega, omega], loop, 1e-11)
     expansion = np.zeros((2, 2), dtype=complex)
     for j1 in (0, 1):
         for j2 in (0, 1):
             expansion += chen_integral(line_forms, [j1, j2], loop, 1e-11) * (u[j1] @ u[j2])
     assert frobenius(direct - expansion) < 1e-9
+
+
+def test_every_solve_goes_through_the_one_right_hand_side(monkeypatch, line_forms, line_loops):
+    # transport, Chen integrals, jets, synthesis and braid gates are all
+    # transports of a connection by `integrate_along`
+    names = set()
+    solve_ivp = fuchsian.solve_ivp
+
+    def recording(fun, *args, **kwargs):
+        names.add(fun.__qualname__)
+        return solve_ivp(fun, *args, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", recording)
+    rng = np.random.default_rng(60)
+    coeffs = tuple(tuple(small_hermitian(rng) for _ in range(2)) for _ in range(2))
+    fam = ConnectionFamily(line_forms, coeffs)
+    targets = RepresentationFamily(coeffs)
+    loop = line_loops[0]
+    transport(evaluate_at(fam, 0.05), loop, 1e-8)
+    chen_integral(line_forms, [0, 1], loop, 1e-8)
+    matrix_chen_integral(line_forms, [np.array(coeffs)[:, 0]] * 2, loop, 1e-8)
+    jet_monodromy(fam, loop, 2, 1e-8)
+    verify_match(targets, synthesize(targets, line_forms, line_loops, 2, 1e-8), 0.05, line_loops, 1e-8)
+    kz.braid_matrix(kz.build_kz([kz.SpinModule(0.5)] * 3, 4.0), 1, 1e-8)
+    assert len(names) == 1, names
+    assert names.pop().startswith("integrate_along.<locals>.")
 
 
 # ---------------------------------------------------------------------------
