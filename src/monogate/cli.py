@@ -72,7 +72,7 @@ def _validate_args(args) -> None:
         value = getattr(args, key, None)
         if value is not None and value <= 0:
             raise ValueError(f"{_flag(key)} must be positive, got {value}")
-    for key in ("order", "maxlen", "samples", "budget", "generators"):
+    for key in ("order", "maxlen", "samples", "budget", "generators", "i"):
         value = getattr(args, key, None)
         if value is not None and value < 1:
             raise ValueError(f"{_flag(key)} must be >= 1, got {value}")
@@ -152,7 +152,7 @@ def _cmd_gate(args) -> int:
 
 def _cmd_paths(args) -> int:
     if args.paths_command == "braid":
-        path = paths.braid_generator_path(args.n, args.i)
+        path = paths.braid_word_path(args.n, [args.i])
         payload = paths.path_to_json(path)
     elif args.paths_command == "pure-braid":
         word = paths.pure_braid_word(args.n, args.i, args.j)

@@ -63,8 +63,6 @@ __all__ = [
     "transport",
     "monodromy_representation",
     "residue_log",
-    "chern_index",
-    "curvature_residual",
     "integrability_check",
     "IntegrabilityReport",
     "x4_generator_loops",
@@ -136,12 +134,16 @@ class DifferenceForms(_LogForms):
     points: tuple[complex, ...]
     reference: complex | None = None
     _point_vector: np.ndarray = field(init=False, repr=False, compare=False)
+    # The punctures, the reference included; rejects coincident ones.
+    divisor: PointsDivisor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(complex(a) for a in self.points))
         if self.reference is not None:
             object.__setattr__(self, "reference", complex(self.reference))
         object.__setattr__(self, "_point_vector", np.array(self.points, dtype=complex))
+        extra = () if self.reference is None else (self.reference,)
+        object.__setattr__(self, "divisor", PointsDivisor(self.points + extra))
 
     @property
     def count(self) -> int:
@@ -150,11 +152,6 @@ class DifferenceForms(_LogForms):
     @property
     def ambient(self) -> int:
         return 1
-
-    @property
-    def divisor(self) -> PointsDivisor:
-        pts = self.points if self.reference is None else self.points + (self.reference,)
-        return PointsDivisor(pts)
 
     def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """All form values omega_j(z)(v) as one vector."""
@@ -183,11 +180,13 @@ class ConfigurationForms(_LogForms):
     # First and second index of every pair, for `weights`.
     _left: np.ndarray = field(init=False, repr=False, compare=False)
     _right: np.ndarray = field(init=False, repr=False, compare=False)
+    divisor: DiagonalDivisor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         left, right = np.triu_indices(self.n, k=1)
         object.__setattr__(self, "_left", left)
         object.__setattr__(self, "_right", right)
+        object.__setattr__(self, "divisor", DiagonalDivisor(self.n))
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -200,10 +199,6 @@ class ConfigurationForms(_LogForms):
     @property
     def ambient(self) -> int:
         return self.n
-
-    @property
-    def divisor(self) -> DiagonalDivisor:
-        return DiagonalDivisor(self.n)
 
     def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """All form values d log(z_i - z_j)(v) as one vector, in `pairs` order."""
@@ -342,17 +337,6 @@ class DifferencesConnection(_StackedConnection):
         object.__setattr__(self, "coefficients", tuple(stack))
         object.__setattr__(self, "reference", forms.reference)
 
-    def as_points_connection(self) -> PointsConnection:
-        """Equivalent simple-pole form (adds the reference pole if finite)."""
-        if self.reference is None:
-            return PointsConnection(self.points, self.coefficients)
-        total = -sum(self.coefficients, np.zeros((self.dim, self.dim), dtype=complex))
-        return PointsConnection(
-            self.points + (self.reference,),
-            self.coefficients + (total,),
-            regular_at_infinity=True,
-        )
-
 
 Connection = PointsConnection | ConfigurationConnection | DifferencesConnection
 
@@ -474,8 +458,8 @@ class MonodromyRepresentation:
         return frobenius(prod - np.eye(self.dim))
 
 
-def monodromy_representation(conn: Connection, loops, tol: float = 1e-10,
-                             labels=None) -> MonodromyRepresentation:
+def monodromy_representation(conn: Connection, loops,
+                             tol: float = 1e-10) -> MonodromyRepresentation:
     """Transport each loop; all loops must share the basepoint."""
     loops = list(loops)
     if not loops:
@@ -484,10 +468,9 @@ def monodromy_representation(conn: Connection, loops, tol: float = 1e-10,
     for p in loops[1:]:
         if float(np.linalg.norm(p.start - base)) > 1e-9:
             raise ValueError("loops do not share a basepoint")
-    if labels is None:
-        labels = tuple(f"gamma_{k+1}" for k in range(len(loops)))
+    labels = tuple(f"gamma_{k+1}" for k in range(len(loops)))
     mats = tuple(transport(conn, p, tol) for p in loops)
-    return MonodromyRepresentation(tuple(labels), mats, base)
+    return MonodromyRepresentation(labels, mats, base)
 
 
 def x4_generator_loops(punctures, basepoint: complex, radius: float) -> list[PiecewisePath]:
@@ -503,7 +486,7 @@ def x4_generator_loops(punctures, basepoint: complex, radius: float) -> list[Pie
 
 
 # ---------------------------------------------------------------------------
-# Matrix logarithms and the Chern index.
+# Matrix logarithms.
 # ---------------------------------------------------------------------------
 
 def _eigensystem(m: np.ndarray):
@@ -548,43 +531,9 @@ def residue_log(m, branch_start: float = 0.0) -> np.ndarray:
     return e
 
 
-def chern_index(rep: MonodromyRepresentation, branch_start: float = 0.0,
-                residual_tol: float = 1e-6) -> tuple[int, float]:
-    """Sum of traces of the residue logarithms, rounded to the nearest integer.
-
-    Returns (index, pre-rounding residual); raises if the branch choices are
-    inconsistent with an integer class.
-    """
-    total = sum(complex(np.trace(residue_log(m, branch_start))) for m in rep.matrices)
-    index = int(round(total.real))
-    residual = abs(total - index)
-    if residual > residual_tol:
-        raise BranchCutError(
-            f"trace sum {total:.8f} is not an integer (residual {residual:.3e}); "
-            "branch choices are inconsistent"
-        )
-    return index, residual
-
-
 # ---------------------------------------------------------------------------
 # Flatness.
 # ---------------------------------------------------------------------------
-
-def curvature_residual(conn: Connection, point, u, v) -> float:
-    """||Omega(u) Omega(v) - Omega(v) Omega(u)||_F at the point.
-
-    d Omega = 0 holds identically for logarithmic forms, so this commutator
-    is the whole curvature obstruction.
-    """
-    point = np.atleast_1d(np.asarray(point, dtype=complex))
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
-    if conn.divisor.point_distance(point) <= MIN_CLEARANCE:
-        raise DivisorContactError(conn.divisor.point_distance(point))
-    a = conn.contract(point, u)
-    b = conn.contract(point, v)
-    return frobenius(a @ b - b @ a)
-
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
@@ -592,9 +541,6 @@ class IntegrabilityReport:
 
     max_violation: float
     violations: tuple
-
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_violation <= tol
 
 
 def integrability_check(conn: ConfigurationConnection) -> IntegrabilityReport:

@@ -1,5 +1,5 @@
 """Qubit registers and gate algebra: named single-qubit gates, controlled
-gates, tensor products, state application and measurement expectation.
+gates and state application.
 
 Conventions
 -----------
@@ -38,10 +38,7 @@ __all__ = [
     "named_gate",
     "phase_gate",
     "controlled",
-    "tensor",
     "apply",
-    "expectation_value",
-    "pauli_coefficients",
     "parse_gate_name",
     "GATE_NAMES",
 ]
@@ -63,7 +60,6 @@ class QuantumGate:
 
     matrix: np.ndarray
     qubits: int = field(default=0)
-    unitarity_tol: float = field(default=DEFAULT_UNITARITY_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_square_matrix(self.matrix)
@@ -73,7 +69,7 @@ class QuantumGate:
         if self.qubits and self.qubits != k:
             raise ValueError(f"declared {self.qubits} qubits, matrix is {m.shape[0]}x{m.shape[0]}")
         defect = unitarity_defect(m)
-        if defect > self.unitarity_tol:
+        if defect > DEFAULT_UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: ||U†U - I||_F = {defect:.3e}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "qubits", k)
@@ -161,17 +157,7 @@ def controlled(u: QuantumGate, k: int) -> QuantumGate:
     d = u.dim * 2**k
     m = np.eye(d, dtype=complex)
     m[d - u.dim :, d - u.dim :] = u.matrix
-    return QuantumGate(m, u.qubits + k, u.unitarity_tol)
-
-
-def tensor(gates: list[QuantumGate]) -> QuantumGate:
-    """Kronecker product in list order; qubit counts add."""
-    if not gates:
-        raise ValueError("tensor of an empty gate list")
-    m = gates[0].matrix
-    for g in gates[1:]:
-        m = np.kron(m, g.matrix)
-    return QuantumGate(m, sum(g.qubits for g in gates))
+    return QuantumGate(m, u.qubits + k)
 
 
 def apply(g: QuantumGate, s: QubitState) -> QubitState:
@@ -179,29 +165,3 @@ def apply(g: QuantumGate, s: QubitState) -> QubitState:
     if g.dim != s.amplitudes.size:
         raise ValueError(f"gate dim {g.dim} != state dim {s.amplitudes.size}")
     return QubitState(g.matrix @ s.amplitudes)
-
-
-def expectation_value(s: QubitState) -> float:
-    """<N> = |beta|^2, the probability of reading |1> from a single qubit."""
-    if s.amplitudes.size != 2:
-        raise ValueError("expectation_value is defined for single-qubit states")
-    return float(abs(s.amplitudes[1]) ** 2)
-
-
-def pauli_coefficients(u) -> tuple[float, float, float]:
-    """Solve U = x sx + y sy + z sz for a traceless Hermitian unitary U.
-
-    Returns real (x, y, z) with x^2 + y^2 + z^2 = 1.
-    """
-    u = as_square_matrix(u)
-    if u.shape != (2, 2):
-        raise ValueError("Pauli decomposition needs a 2x2 matrix")
-    if abs(np.trace(u)) > 1e-10 or not np.allclose(u, u.conj().T, atol=1e-10):
-        raise ValueError("matrix is not traceless Hermitian")
-    x = float(u[1, 0].real)
-    y = float(u[1, 0].imag)
-    z = float(u[0, 0].real)
-    r = x * x + y * y + z * z
-    if abs(r - 1.0) > 1e-8:
-        raise ValueError(f"coefficients not on the unit sphere (|v|^2 = {r:.6f}); U not unitary")
-    return x, y, z

@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 SL2_COMMUTATOR_TOL = 1e-12
+# Largest three-site braid-relation violation `build_kz` accepts.
+FLATNESS_TOL = 1e-10
+# Eigenvalues of a block's invariant form at or below this are its radical.
+RANK_CUT = 1e-7
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,6 @@ class SpinModule:
 
     def spin_triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.sx, self.sy, self.sz
-
-    def casimir_value(self) -> float:
-        """Scalar of c = 2(sx^2 + sy^2 + sz^2) on this module: 2 j (j + 1)."""
-        return 2.0 * self.spin * (self.spin + 1.0)
 
     def commutator_defect(self) -> float:
         """Worst violation of the sl2 relations by the stored matrices."""
@@ -156,17 +156,12 @@ class KZSystem:
     def dim(self) -> int:
         return int(np.prod([m.dim for m in self.modules]))
 
-    def omega(self, i: int, j: int) -> np.ndarray:
-        if i > j:
-            i, j = j, i
-        return self.omegas[(i, j)]
-
     def connection(self) -> ConfigurationConnection:
         """The flat connection with residues O_ij / lambda, built once."""
         return self._connection
 
 
-def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
+def build_kz(modules, lam: complex) -> KZSystem:
     """Assemble the KZ system; verifies sl2 relations and flatness, the latter
     on each distinct triple of modules."""
     modules = tuple(modules)
@@ -191,7 +186,7 @@ def build_kz(modules, lam: complex, flatness_tol: float = 1e-10) -> KZSystem:
         ),
         default=0.0,
     )
-    if violation > flatness_tol:
+    if violation > FLATNESS_TOL:
         raise ValueError(f"KZ connection is not flat: violation {violation:.3e}")
     return sys
 
@@ -230,18 +225,12 @@ def flip_operator(n: int, d: int, i: int) -> np.ndarray:
     return eye.swapaxes(i - 1, i).reshape(d**n, d**n)
 
 
-def braid_matrix(sys: KZSystem, i: int, tol: float = 1e-10,
-                 orientation: str = "ccw") -> np.ndarray:
-    """Monodromy gate of the braid generator sigma_i: flip after half-twist
-    transport.  Requires identical modules; `orientation` picks the sense of
-    the half-twist ('ccw' default, 'cw' for the inverse sense)."""
+def braid_matrix(sys: KZSystem, i: int, tol: float = 1e-10) -> np.ndarray:
+    """Monodromy gate of the braid generator sigma_i: flip after the
+    counterclockwise half-twist transport.  Requires identical modules."""
     if len({m.spin for m in sys.modules}) != 1:
         raise ValueError("the braid extension needs identical modules V1 = ... = Vn")
-    if orientation not in ("ccw", "cw"):
-        raise ValueError("orientation must be 'ccw' or 'cw'")
-    letter = i if orientation == "ccw" else -i
-    path = braid_word_path(sys.n, [letter])
-    t = transport(sys.connection(), path, tol)
+    t = transport(sys.connection(), braid_word_path(sys.n, [i]), tol)
     return flip_operator(sys.n, sys.modules[0].dim, i) @ t
 
 
@@ -300,13 +289,13 @@ def _hermitian_kernel_basis(mats) -> list[np.ndarray]:
     return [vh[k].view(complex).reshape(dim, dim) for k in range(len(sv)) if keep[k]]
 
 
-def _unitarize_block(mats, rank_cut: float):
+def _unitarize_block(mats):
     """Unitarize one multiplicity block: returns (form, kept matrices, radical).
 
     A multiplicity block carries one invariant Hermitian form up to scale
     (Schur's lemma); more than one raises `NumericsError`.  The form is
     signed and scaled so that its eigenvalue of largest magnitude is 1, and
-    the block is quotiented by the eigenvectors with eigenvalue <= rank_cut.
+    the block is quotiented by the eigenvectors with eigenvalue <= RANK_CUT.
     A block whose form is indefinite, or which has no invariant form, dies
     whole (kept matrices None, radical = block size, zero form).
     """
@@ -323,9 +312,9 @@ def _unitarize_block(mats, rank_cut: float):
     evals = np.linalg.eigvalsh(h)
     h = h / evals[np.argmax(np.abs(evals))]
     evals, vecs = np.linalg.eigh(h)
-    if evals[0] < -rank_cut:
+    if evals[0] < -RANK_CUT:
         return np.zeros((mu, mu), dtype=complex), None, mu
-    keep = evals > rank_cut
+    keep = evals > RANK_CUT
     v_keep = vecs[:, keep]
     d_root = np.sqrt(evals[keep])
     kept = tuple((v_keep * d_root).conj().T @ b @ (v_keep / d_root) for b in mats)
@@ -371,8 +360,7 @@ def _isotypic_towers(sys: KZSystem):
     return out
 
 
-def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10,
-                 rank_cut: float = 1e-7) -> UnitarizationResult:
+def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10) -> UnitarizationResult:
     """Unitarizability witness for KZ braid gates: unitarize blockwise.
 
     The braid matrices commute with the global sl2 action, so they split into
@@ -395,7 +383,7 @@ def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10,
     for j, towers in _isotypic_towers(sys):
         hw = towers[0]
         blocks = [hw.conj().T @ b @ hw for b in mats]
-        h_block, kept, radical = _unitarize_block(blocks, rank_cut)
+        h_block, kept, radical = _unitarize_block(blocks)
         radical_total += radical * len(towers)
         for w in towers:
             form_full += w @ h_block @ w.conj().T
@@ -427,9 +415,6 @@ class BraidRelationReport:
     @property
     def max_deviation(self) -> float:
         return max(self.max_braid_deviation, self.max_commutation_deviation)
-
-    def passed(self, tol: float) -> bool:
-        return self.max_deviation <= tol
 
     def as_dict(self) -> dict:
         return {

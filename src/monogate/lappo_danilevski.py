@@ -57,7 +57,6 @@ __all__ = [
     "synthesize",
     "evaluate_at",
     "jet_monodromy",
-    "series_residuals",
     "verify_match",
     "SynthesisVerification",
     "family_to_json",
@@ -178,11 +177,6 @@ class RepresentationFamily:
             coeffs.append(tuple(gen))
         return cls(tuple(coeffs), labels=tuple(labels))
 
-    @classmethod
-    def zero_targets(cls, generators: int, dim: int, order: int) -> "RepresentationFamily":
-        z = np.zeros((dim, dim), dtype=complex)
-        return cls(tuple(tuple(z for _ in range(order)) for _ in range(generators)))
-
 
 @dataclass(frozen=True)
 class ConnectionFamily:
@@ -296,18 +290,6 @@ def jet_monodromy(family: ConnectionFamily, loop: PiecewisePath, order: int,
     series = np.array(family.coefficients, dtype=complex)[:, :order]
     blocks = np.einsum("src,jsab->jracb", shifts, series)
     return list(_first_column(family.forms, blocks, loop, tol)[1:])
-
-
-def series_residuals(family: ConnectionFamily, targets: RepresentationFamily, loops,
-                     tol: float = 1e-10) -> list[list[float]]:
-    """Per-order deviations ||F_k(1) - M_k^j||_F of the synthesized family."""
-    out = []
-    for j, loop in enumerate(loops):
-        jets = jet_monodromy(family, loop, family.order, tol)
-        out.append(
-            [frobenius(f - m) for f, m in zip(jets, targets.coefficients[j])]
-        )
-    return out
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,9 @@ __all__ = [
     "DiagonalDivisor",
     "generator_loop",
     "puncture_loops",
-    "concat",
-    "invert",
     "segment_log_increment",
-    "winding_number",
-    "braid_generator_path",
     "braid_word_path",
     "pure_braid_word",
-    "permutation_of_word",
-    "min_divisor_distance",
     "path_to_json",
     "path_from_json",
     "loops_to_json",
@@ -41,7 +35,6 @@ __all__ = [
 
 JOINT_TOL = 1e-12
 CLOSURE_TOL = 1e-9
-DEFAULT_CLEARANCE = 0.05
 
 
 def _as_point(z) -> np.ndarray:
@@ -112,9 +105,6 @@ class LineSegment:
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.end_point - self.start_point))
 
-    def reversed(self) -> "LineSegment":
-        return LineSegment(self.end_point, self.start_point)
-
     def piece(self, t0: float, t1: float) -> "LineSegment":
         """The sub-segment traced for t in [t0, t1], reparametrized to [0, 1]."""
         return LineSegment(self.at(t0), self.at(t1))
@@ -184,9 +174,6 @@ class ArcSegment:
     def max_speed(self) -> float:
         return float(abs(self.theta1 - self.theta0) * np.linalg.norm(self.amplitude))
 
-    def reversed(self) -> "ArcSegment":
-        return ArcSegment(self.center, self.amplitude, self.theta1, self.theta0)
-
     def piece(self, t0: float, t1: float) -> "ArcSegment":
         """The sub-arc traced for t in [t0, t1], reparametrized to [0, 1]."""
         return ArcSegment(self.center, self.amplitude, self._theta(t0), self._theta(t1))
@@ -246,19 +233,6 @@ class PiecewisePath:
         return float(np.linalg.norm(self.end - self.start)) <= CLOSURE_TOL
 
 
-def concat(p: PiecewisePath, q: PiecewisePath) -> PiecewisePath:
-    """Composite path traversing p first, then q."""
-    gap = float(np.linalg.norm(p.end - q.start))
-    if gap > JOINT_TOL:
-        raise ValueError(f"cannot concatenate: q starts {gap:.3e} away from the end of p")
-    return PiecewisePath(p.segments + q.segments)
-
-
-def invert(p: PiecewisePath) -> PiecewisePath:
-    """The same contour with orientation reversed."""
-    return PiecewisePath(tuple(seg.reversed() for seg in reversed(p.segments)))
-
-
 # ---------------------------------------------------------------------------
 # Divisors and clearance.
 # ---------------------------------------------------------------------------
@@ -315,11 +289,6 @@ class DiagonalDivisor:
             raise ValueError(f"expected a point of C^{self.n}")
         diffs = [abs(z[i] - z[j]) for i in range(self.n) for j in range(i + 1, self.n)]
         return min(diffs)
-
-
-def min_divisor_distance(path: PiecewisePath, divisor) -> float:
-    """Analytic minimum distance from the path to the divisor."""
-    return min(divisor.segment_distance(seg) for seg in path.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -389,33 +358,12 @@ def segment_log_increment(seg: Segment, point: complex) -> complex:
     return complex(logs[1] - logs[0])
 
 
-def winding_number(path: PiecewisePath, point: complex) -> float:
-    """(1/2 pi) times the total argument increment of z - point along the
-    path, exact per segment (`segment_log_increment`)."""
-    if path.dimension != 1:
-        raise ValueError("winding number is defined for paths in C")
-    return sum(segment_log_increment(seg, point).imag for seg in path.segments) / (2 * np.pi)
-
-
 # ---------------------------------------------------------------------------
 # Braid and pure-braid paths in configuration space.
 # ---------------------------------------------------------------------------
 
 def _standard_basepoint(n: int) -> tuple[float, ...]:
     return tuple(float(k) for k in range(1, n + 1))
-
-
-def permutation_of_word(n: int, word) -> list[int]:
-    """Image of (1..n) under the word's underlying permutation."""
-    v = list(range(1, n + 1))
-    for letter in word:
-        i = abs(letter)
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {letter} out of range for n={n}")
-        a = v.index(i)
-        b = v.index(i + 1)
-        v[a], v[b] = v[b], v[a]
-    return v
 
 
 def braid_word_path(n: int, word, basepoint=None) -> PiecewisePath:
@@ -455,13 +403,6 @@ def braid_word_path(n: int, word, basepoint=None) -> PiecewisePath:
         occupant[a], occupant[b] = occupant[b], occupant[a]
         position = segments[-1].end_point
     return PiecewisePath(tuple(segments))
-
-
-def braid_generator_path(n: int, i: int, basepoint=None) -> PiecewisePath:
-    """The path of the braid generator sigma_i from the standard basepoint."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    return braid_word_path(n, [i], basepoint=basepoint)
 
 
 def pure_braid_word(n: int, i: int, j: int) -> list[int]:

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gate_core import QuantumGate
-from .matrices import as_square_matrix, frobenius, projective_distance
+from .matrices import as_square_matrix, frobenius
 
 __all__ = [
     "GateSet",
-    "projective_distance",
     "ScreenReport",
     "CoverageReport",
     "density_screen",

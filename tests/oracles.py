@@ -22,16 +22,43 @@ and slower route, so tests can compare the two:
   matmul, one `dedup_key` and one set probe per product, against
   `universality._closure_levels`'s stacked products and keys per frontier
   slice.
+
+The rest are helpers that only tests call, kept here rather than in the
+library:
+
+* paths: `invert` (the reversed contour), `winding_number` (from the exact
+  per-segment log increments), `min_divisor_distance` (analytic clearance of
+  a whole path) and `permutation_of_word` (the permutation under a braid
+  word);
+* connections: `as_points_connection` (the simple-pole form of a difference
+  connection), `curvature_residual` (the commutator [Omega(u), Omega(v)] at a
+  point) and `chern_index` (the integer trace sum of the residue logarithms
+  of a monodromy representation);
+* synthesis: `series_residuals`, the per-order deviations of a synthesized
+  family from its targets;
+* spin modules: `casimir_value`, the Casimir scalar 2 j (j + 1);
+* gates and matrices: `tensor`, `pauli_coefficients`, `projective_distance`,
+  `random_unitary` and `random_traceless_hermitian_unitary`.
 """
 
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm
 
+from monogate.fuchsian import (
+    MIN_CLEARANCE,
+    BranchCutError,
+    DivisorContactError,
+    PointsConnection,
+    residue_log,
+)
+from monogate.gate_core import QuantumGate
 from monogate.kz import UnitarizationResult, _hermitian_kernel_basis
-from monogate.lappo_danilevski import ConnectionFamily, matrix_chen_integral
-from monogate.matrices import as_square_matrix, unitarity_defect
+from monogate.lappo_danilevski import ConnectionFamily, jet_monodromy, matrix_chen_integral
+from monogate.matrices import as_square_matrix, frobenius, unitarity_defect
+from monogate.paths import ArcSegment, LineSegment, PiecewisePath, segment_log_increment
 from monogate.universality import DEDUP_TOL
 
 TWO_PI_I = 2j * np.pi
@@ -74,8 +101,8 @@ def casimir_omega_via_coproduct(vi, vj) -> np.ndarray:
         # images of the orthonormal basis elements are sqrt(2) * spin matrices
         da = np.sqrt(2.0) * (np.kron(a, np.eye(vj.dim)) + np.kron(np.eye(vi.dim), b))
         delta_c += da @ da
-    c_left = vi.casimir_value() * np.eye(dim)
-    c_right = vj.casimir_value() * np.eye(dim)
+    c_left = casimir_value(vi) * np.eye(dim)
+    c_right = casimir_value(vj) * np.eye(dim)
     return (delta_c - c_left - c_right) / 2.0
 
 
@@ -227,3 +254,142 @@ def jimbo_braid_rep(n: int, q: complex) -> list[np.ndarray]:
         [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, q]], dtype=complex
     )
     return [np.kron(np.kron(np.eye(2 ** (i - 1)), r), np.eye(2 ** (n - i - 1))) for i in range(1, n)]
+
+
+# ---------------------------------------------------------------------------
+# Helpers only tests call.
+# ---------------------------------------------------------------------------
+
+def invert(path: PiecewisePath) -> PiecewisePath:
+    """The same contour with orientation reversed."""
+
+    def back(seg):
+        if isinstance(seg, LineSegment):
+            return LineSegment(seg.end_point, seg.start_point)
+        return ArcSegment(seg.center, seg.amplitude, seg.theta1, seg.theta0)
+
+    return PiecewisePath(tuple(back(seg) for seg in reversed(path.segments)))
+
+
+def winding_number(path: PiecewisePath, point: complex) -> float:
+    """(1/2 pi) times the total argument increment of z - point along the
+    path, exact per segment (`segment_log_increment`)."""
+    if path.dimension != 1:
+        raise ValueError("winding number is defined for paths in C")
+    return sum(segment_log_increment(seg, point).imag for seg in path.segments) / (2 * np.pi)
+
+
+def min_divisor_distance(path: PiecewisePath, divisor) -> float:
+    """Analytic minimum distance from the path to the divisor."""
+    return min(divisor.segment_distance(seg) for seg in path.segments)
+
+
+def permutation_of_word(n: int, word) -> list[int]:
+    """Image of (1..n) under the word's underlying permutation."""
+    v = list(range(1, n + 1))
+    for letter in word:
+        i = abs(letter)
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {letter} out of range for n={n}")
+        a = v.index(i)
+        b = v.index(i + 1)
+        v[a], v[b] = v[b], v[a]
+    return v
+
+
+def as_points_connection(conn) -> PointsConnection:
+    """The simple-pole form of a `DifferencesConnection` (adds the reference
+    pole if finite)."""
+    if conn.reference is None:
+        return PointsConnection(conn.points, conn.coefficients)
+    total = -sum(conn.coefficients, np.zeros((conn.dim, conn.dim), dtype=complex))
+    return PointsConnection(
+        conn.points + (conn.reference,),
+        conn.coefficients + (total,),
+        regular_at_infinity=True,
+    )
+
+
+def curvature_residual(conn, point, u, v) -> float:
+    """||Omega(u) Omega(v) - Omega(v) Omega(u)||_F at the point.
+
+    d Omega = 0 holds identically for logarithmic forms, so this commutator
+    is the whole curvature obstruction.
+    """
+    point = np.atleast_1d(np.asarray(point, dtype=complex))
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    v = np.atleast_1d(np.asarray(v, dtype=complex))
+    if conn.divisor.point_distance(point) <= MIN_CLEARANCE:
+        raise DivisorContactError(conn.divisor.point_distance(point))
+    a = conn.contract(point, u)
+    b = conn.contract(point, v)
+    return frobenius(a @ b - b @ a)
+
+
+def chern_index(rep, branch_start: float = 0.0, residual_tol: float = 1e-6) -> tuple[int, float]:
+    """Sum of traces of the residue logarithms, rounded to the nearest integer.
+
+    Returns (index, pre-rounding residual); raises if the branch choices are
+    inconsistent with an integer class.
+    """
+    total = sum(complex(np.trace(residue_log(m, branch_start))) for m in rep.matrices)
+    index = int(round(total.real))
+    residual = abs(total - index)
+    if residual > residual_tol:
+        raise BranchCutError(
+            f"trace sum {total:.8f} is not an integer (residual {residual:.3e}); "
+            "branch choices are inconsistent"
+        )
+    return index, residual
+
+
+def series_residuals(family, targets, loops, tol: float = 1e-10) -> list[list[float]]:
+    """Per-order deviations ||F_k(1) - M_k^j||_F of the synthesized family."""
+    out = []
+    for j, loop in enumerate(loops):
+        jets = jet_monodromy(family, loop, family.order, tol)
+        out.append([frobenius(f - m) for f, m in zip(jets, targets.coefficients[j])])
+    return out
+
+
+def casimir_value(module) -> float:
+    """Scalar of c = 2(sx^2 + sy^2 + sz^2) on a spin module: 2 j (j + 1)."""
+    return 2.0 * module.spin * (module.spin + 1.0)
+
+
+def tensor(gates) -> QuantumGate:
+    """Kronecker product in list order; qubit counts add."""
+    return QuantumGate(reduce(np.kron, [g.matrix for g in gates]), sum(g.qubits for g in gates))
+
+
+def pauli_coefficients(u) -> tuple[float, float, float]:
+    """Solve U = x sx + y sy + z sz for a traceless Hermitian unitary U."""
+    u = as_square_matrix(u)
+    return float(u[1, 0].real), float(u[1, 0].imag), float(u[0, 0].real)
+
+
+def projective_distance(u, v) -> float:
+    """min over unit phases of ||U - e^{i theta} V||_F.
+
+    Closed form: the optimal phase aligns tr(U† V), giving
+    sqrt(||U||^2 + ||V||^2 - 2 |tr(U† V)|).
+    """
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    overlap = abs(np.trace(u.conj().T @ v))
+    d2 = frobenius(u) ** 2 + frobenius(v) ** 2 - 2.0 * overlap
+    return float(np.sqrt(max(d2, 0.0)))
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_traceless_hermitian_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Random point on the sphere x sx + y sy + z sz, x^2+y^2+z^2 = 1."""
+    v = rng.standard_normal(3)
+    x, y, z = v / np.linalg.norm(v)
+    return np.array([[z, x - 1j * y], [x + 1j * y, -z]])

@@ -55,6 +55,15 @@ def test_paths_braid_roundtrip(tmp_path, capsys):
     assert np.allclose(path.start, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("i", ["0", "-1"])
+def test_paths_braid_index_below_one_is_input_error(capsys, i):
+    # the path is sigma_i's: a negative index must not read as an inverse letter
+    code, out, err = run(capsys, "paths", "braid", "--n", "3", "--i", i)
+    assert code == 1
+    assert out == ""
+    assert "--i must be >= 1" in err
+
+
 def test_paths_pure_braid(tmp_path, capsys):
     out_file = tmp_path / "tau.json"
     code, _, _ = run(
@@ -146,7 +155,7 @@ def test_synth_verify_roundtrip(tmp_path, capsys):
 
 def test_synth_loop_through_a_puncture_is_numeric_error(tmp_path, capsys):
     # the approach from 2 to the circle around 0 runs through the puncture at 1
-    targets = RepresentationFamily.zero_targets(2, 1, 1)
+    targets = RepresentationFamily.exponential_targets([np.zeros((1, 1))] * 2, 1)
     (tmp_path / "fam.json").write_text(json.dumps(family_to_json(targets)))
     loops = [generator_loop(2.0, 0.0, 0.3), generator_loop(2.0, 1.0, 0.3)]
     (tmp_path / "loops.json").write_text(json.dumps(loops_to_json(loops)))
@@ -342,7 +351,7 @@ def test_report_config_lists_the_subcommand_options(argv, keys, tmp_path, capsys
     conn = PointsConnection((0.0,), (np.array([[0.25]]),))
     (tmp_path / "conn.json").write_text(json.dumps(connection_to_json(conn)))
     (tmp_path / "loops.json").write_text(json.dumps(loops_to_json([generator_loop(2.0, 0.0, 0.5)])))
-    targets = RepresentationFamily.zero_targets(1, 1, 1)
+    targets = RepresentationFamily.exponential_targets([np.zeros((1, 1))] * 1, 1)
     (tmp_path / "fam.json").write_text(json.dumps(family_to_json(targets)))
     argv = [w.format(dir=tmp_path) for w in argv]
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "report.json"))

@@ -6,15 +6,15 @@ from scipy.linalg import expm
 from monogate.fuchsian import (
     BranchCutError,
     ConfigurationConnection,
+    ConfigurationForms,
     DefectiveMatrixError,
+    DifferenceForms,
     DifferencesConnection,
     DivisorContactError,
     MonodromyRepresentation,
     PointsConnection,
-    chern_index,
     connection_from_json,
     connection_to_json,
-    curvature_residual,
     integrability_check,
     monodromy_representation,
     residue_log,
@@ -22,7 +22,7 @@ from monogate.fuchsian import (
     x4_generator_loops,
 )
 from monogate.gate_core import SIGMA_X, SIGMA_Z
-from monogate.matrices import frobenius, random_hermitian, random_su2
+from monogate.matrices import frobenius, random_hermitian
 from monogate import fuchsian
 from monogate.paths import (
     ArcSegment,
@@ -30,11 +30,10 @@ from monogate.paths import (
     PiecewisePath,
     PointsDivisor,
     braid_word_path,
-    concat,
     generator_loop,
-    invert,
-    min_divisor_distance,
 )
+from monogate.universality import haar_su2_samples
+from oracles import as_points_connection, chern_index, curvature_residual, invert, min_divisor_distance
 
 RNG = np.random.default_rng(20240817)
 
@@ -86,9 +85,7 @@ def test_winding_powers():
     base = generator_loop(2.0, 0.0, 0.5)
     for w in (-2, -1, 1, 2):
         loop = base if w > 0 else invert(base)
-        path = loop
-        for _ in range(abs(w) - 1):
-            path = concat(path, loop)
+        path = PiecewisePath(loop.segments * abs(w))
         m = transport(conn, path, 1e-11)
         assert frobenius(m - expm(2j * np.pi * w * a)) < 1e-9
 
@@ -100,7 +97,7 @@ def test_transport_multiplicative():
     seg2 = PiecewisePath((LineSegment(np.array([1.0 + 1.0j]), np.array([-1.5 + 0.5j])),))
     t1 = transport(conn, seg1, 1e-11)
     t2 = transport(conn, seg2, 1e-11)
-    both = transport(conn, concat(seg1, seg2), 1e-11)
+    both = transport(conn, PiecewisePath(seg1.segments + seg2.segments), 1e-11)
     assert frobenius(both - t2 @ t1) < 2e-11
 
 
@@ -125,7 +122,7 @@ def test_homotopy_invariance():
 def test_loop_then_inverse_is_identity(unit_loop):
     a = random_traceless_hermitian(RNG)
     conn = PointsConnection((0.0,), (a,))
-    m = transport(conn, concat(unit_loop, invert(unit_loop)), 1e-10)
+    m = transport(conn, PiecewisePath(unit_loop.segments + invert(unit_loop).segments), 1e-10)
     assert frobenius(m - np.eye(2)) < 1e-9
 
 
@@ -191,7 +188,7 @@ def near_pole_loop(h, detour=None):
     stops = [base, foot] if detour is None else [base, detour, foot]
     way_in = [LineSegment(np.array([a]), np.array([b])) for a, b in zip(stops, stops[1:])]
     circle = ArcSegment(np.array([0j]), np.array([NEAR_RADIUS + 0j]), phi, phi + 2 * np.pi)
-    way_out = [seg.reversed() for seg in reversed(way_in)]
+    way_out = invert(PiecewisePath(tuple(way_in))).segments
     return PiecewisePath((*way_in, circle, *way_out))
 
 
@@ -294,7 +291,7 @@ def test_residue_log_diag_minus_one():
 def test_residue_log_roundtrip_su2():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        m = random_su2(rng)
+        m = haar_su2_samples(1, rng)[0]
         e = residue_log(m)
         assert frobenius(expm(2j * np.pi * e) - m) < 1e-10
 
@@ -350,7 +347,7 @@ def test_chern_index_two():
 def test_chern_index_integer_for_su2_quadruples():
     rng = np.random.default_rng(13)
     for _ in range(10):
-        m1, m2, m3 = (random_su2(rng) for _ in range(3))
+        m1, m2, m3 = haar_su2_samples(3, rng)
         m4 = np.linalg.inv(m1 @ m2 @ m3)
         rep = MonodromyRepresentation(("1", "2", "3", "4"), (m1, m2, m3, m4), np.array([0.0]))
         _, residual = chern_index(rep)
@@ -403,7 +400,7 @@ def test_integrability_violation_reported():
     expected = frobenius(SIGMA_X @ SIGMA_Z - SIGMA_Z @ SIGMA_X)  # = 2 sqrt 2
     assert abs(expected - 2 * np.sqrt(2)) < 1e-15
     assert abs(report.max_violation - expected) < 1e-12
-    assert not report.passed(1e-12)
+    assert report.max_violation > 1e-12
 
 
 def test_integrability_matches_curvature_on_random_commuting_families():
@@ -438,7 +435,7 @@ def test_differences_connection_json_roundtrip():
     again = connection_from_json(connection_to_json(conn))
     assert isinstance(again, DifferencesConnection)
     assert again.reference == 5.0
-    eq = again.as_points_connection()
+    eq = as_points_connection(again)
     assert eq.regular_at_infinity
     assert np.allclose(eq.residues[2], -0.3 * np.eye(2))
 
@@ -493,9 +490,24 @@ def test_differences_contract_matches_points_form():
     rng = np.random.default_rng(7)
     coeffs = tuple(random_hermitian(2, rng) for _ in range(3))
     conn = DifferencesConnection((0.0, 1.0, 2.0 + 1.0j), coeffs, reference=-1.0 + 0.5j)
-    points = conn.as_points_connection()
+    points = as_points_connection(conn)
     assert conn.divisor.points == points.divisor.points
     for _ in range(5):
         z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         v = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         assert np.max(np.abs(conn.contract(z, v) - points.contract(z, v))) <= 1e-13
+
+
+def test_coincident_punctures_rejected_at_construction():
+    with pytest.raises(ValueError, match="not separated"):
+        PointsConnection((0.0, 0.0), (np.eye(2), -np.eye(2)))
+    with pytest.raises(ValueError, match="not separated"):
+        DifferenceForms((0, 1), reference=1)
+
+
+def test_form_systems_build_their_divisor_once():
+    forms = DifferenceForms((0.0, 1.0), reference=2.0)
+    assert forms.divisor is forms.divisor
+    assert forms.divisor.points == (0.0, 1.0, 2.0)
+    config = ConfigurationForms(4)
+    assert config.divisor is config.divisor and config.divisor.n == 4

@@ -34,7 +34,9 @@ from monogate.matrices import frobenius, unitarity_defect
 from monogate.paths import LineSegment, PiecewisePath, braid_word_path
 from oracles import (
     casimir_omega_via_coproduct,
+    casimir_value,
     jimbo_braid_rep,
+    random_unitary,
     two_point_solution,
     unitarize_representation,
 )
@@ -92,7 +94,7 @@ def test_casimir_scalar():
     for j in (0.5, 1.0, 1.5):
         m = SpinModule(j)
         c = 2 * (m.sx @ m.sx + m.sy @ m.sy + m.sz @ m.sz)
-        assert frobenius(c - m.casimir_value() * np.eye(m.dim)) < 1e-12
+        assert frobenius(c - casimir_value(m) * np.eye(m.dim)) < 1e-12
 
 
 def test_invalid_spin_rejected():
@@ -145,7 +147,7 @@ def test_build_kz_two_point_form(sys2):
 
 def test_omega_acts_trivially_outside_its_factors(sys3):
     # O_12 commutes with operators supported on the third factor
-    om = sys3.omega(0, 1)
+    om = sys3.omegas[(0, 1)]
     probe = np.kron(np.eye(4), SIGMA_X + 0.7 * SIGMA_Z)
     assert frobenius(om @ probe - probe @ om) < 1e-12
     assert frobenius(om - om.conj().T) < 1e-12  # Hermitian
@@ -242,10 +244,16 @@ def test_half_twist_squared_is_full_twist_n3(sys3, braid3):
         assert frobenius(b @ b - full) < 1e-6
 
 
+def clockwise_gate(sys, i, tol):
+    """The gate of the clockwise half-twist: the flip after transport along sigma_i^{-1}."""
+    half = transport(sys.connection(), braid_word_path(sys.n, [-i]), tol)
+    return flip_operator(sys.n, sys.modules[0].dim, i) @ half
+
+
 def test_half_twist_closed_form_both_orientations(sys2):
     # clockwise half-twist with the flip divided out reproduces e^{-i pi O / lam}
     p = flip_operator(2, 2, 1)
-    b_cw = braid_matrix(sys2, 1, 1e-11, orientation="cw")
+    b_cw = clockwise_gate(sys2, 1, 1e-11)
     b_ccw = braid_matrix(sys2, 1, 1e-11)
     assert frobenius(p @ b_cw - expm(-1j * np.pi * PRINTED_OMEGA / 3.0)) < 1e-9
     assert frobenius(p @ b_ccw - expm(+1j * np.pi * PRINTED_OMEGA / 3.0)) < 1e-9
@@ -253,7 +261,7 @@ def test_half_twist_closed_form_both_orientations(sys2):
 
 def test_opposite_orientations_are_inverse(sys3):
     b = braid_matrix(sys3, 1, 1e-11)
-    b_inv = braid_matrix(sys3, 1, 1e-11, orientation="cw")
+    b_inv = clockwise_gate(sys3, 1, 1e-11)
     assert frobenius(b @ b_inv - np.eye(8)) < 1e-9
 
 
@@ -283,7 +291,7 @@ def half_spin_gates(n: int, lam: float) -> tuple[np.ndarray, ...]:
 
 
 @pytest.mark.parametrize("lam", [3.0, 3.3, 4.0, 7.5])
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_braid_word_traces_match_the_jimbo_representation(n, lam, data):
@@ -299,10 +307,26 @@ def test_braid_word_traces_match_the_jimbo_representation(n, lam, data):
     assert abs(got - want) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "n, lam", [(3, 3.0), (3, 4.0), (3, 7.5), (4, 3.0), (4, 4.0), (4, 7.5), (5, 3.0)]
+)
+def test_jimbo_intertwiners_have_the_commutant_dimension(n, lam):
+    # {X : B_i X = X R_i for all i} has dimension sum_j (2j + 1)^2 over the
+    # spins j in V_{1/2}^{(x) n} when the two representations are equivalent;
+    # vec(B X - X R) = (1 (x) B - R^T (x) 1) vec(X), column-major
+    gates = half_spin_gates(n, lam)
+    jimbo = jimbo_braid_rep(n, np.exp(1j * np.pi / lam))
+    eye = np.eye(2**n)
+    system = np.vstack([np.kron(eye, b) - np.kron(r.T, eye) for b, r in zip(gates, jimbo)])
+    s = np.linalg.svd(system, compute_uv=False)
+    expected = sum((n - 2 * k + 1) ** 2 for k in range(n // 2 + 1))
+    assert expected == {3: 20, 4: 35, 5: 56}[n]
+    assert np.max(s[-expected:]) < 1e-10
+    assert s[-expected - 1] > 0.1
+
+
 def test_braid_word_matrix_inverse():
     rng = np.random.default_rng(2)
-    from monogate.matrices import random_unitary
-
     b = [random_unitary(4, rng), random_unitary(4, rng)]
     m = braid_word_matrix(b, [1, -1])
     assert frobenius(m - np.eye(4)) < 1e-12
@@ -376,13 +400,13 @@ def test_unitarize_kz_radical_dims_pinned(n, lam, radical):
 def test_unitarize_block_needs_a_unique_form():
     # the identity preserves every Hermitian form: four of them, not one
     with pytest.raises(NumericsError, match="2-dimensional block has 4"):
-        _unitarize_block([np.eye(2)], 1e-7)
+        _unitarize_block([np.eye(2)])
 
 
 def test_connection_is_built_once(sys3):
     conn = sys3.connection()
     assert sys3.connection() is conn
-    assert np.allclose(conn.matrix(0, 2), sys3.omega(0, 2) / sys3.lam)
+    assert np.allclose(conn.matrix(0, 2), sys3.omegas[(0, 2)] / sys3.lam)
 
 
 # ---------------------------------------------------------------------------

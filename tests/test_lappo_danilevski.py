@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from monogate import fuchsian, kz, lappo_danilevski
-from monogate.fuchsian import curvature_residual, transport
+from monogate.fuchsian import transport
 from monogate.lappo_danilevski import (
     ConfigurationForms,
     ConnectionFamily,
@@ -20,7 +20,6 @@ from monogate.lappo_danilevski import (
     family_to_json,
     jet_monodromy,
     matrix_chen_integral,
-    series_residuals,
     synthesize,
     verify_match,
 )
@@ -34,7 +33,7 @@ from monogate.paths import (
     puncture_loops,
     pure_braid_word,
 )
-from oracles import composition_synthesize, compositions
+from oracles import composition_synthesize, compositions, curvature_residual, series_residuals
 
 TWO_PI_I = 2j * np.pi
 RNG = np.random.default_rng(99)
@@ -364,14 +363,14 @@ def test_synthesis_cost_is_linear_in_order(order, line_forms, line_loops, solve_
 def test_loop_normalization_verified(line_forms):
     # loops swapped against the forms violate int_{gamma_j} w_k = 2 pi i delta
     loops = puncture_loops([0.0, 1.0], 0.5 - 1.5j, 0.3)[::-1]
-    targets = RepresentationFamily.zero_targets(2, 2, 1)
+    targets = RepresentationFamily.exponential_targets([np.zeros((2, 2))] * 2, 1)
     with pytest.raises(ValueError):
         synthesize(targets, line_forms, loops, 1, tol=1e-10)
 
 
 def test_open_path_is_not_dual(line_forms, line_loops):
     approach = PiecewisePath(line_loops[0].segments[:1])
-    targets = RepresentationFamily.zero_targets(2, 2, 1)
+    targets = RepresentationFamily.exponential_targets([np.zeros((2, 2))] * 2, 1)
     with pytest.raises(ValueError, match="not dual"):
         synthesize(targets, line_forms, [approach, line_loops[1]], 1, tol=1e-10)
 
@@ -391,7 +390,7 @@ def test_synthesis_on_a_loop_whose_circle_meets_another_puncture(line_forms):
 
 
 def test_order_truncation_validated(line_forms, line_loops):
-    targets = RepresentationFamily.zero_targets(2, 2, 2)
+    targets = RepresentationFamily.exponential_targets([np.zeros((2, 2))] * 2, 2)
     with pytest.raises(ValueError):
         synthesize(targets, line_forms, line_loops, 3, tol=1e-10)
 
@@ -408,7 +407,7 @@ def test_large_first_order_warns(line_forms, line_loops):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_at_zero_is_zero_connection(line_forms, line_loops):
-    targets = RepresentationFamily.zero_targets(2, 2, 2)
+    targets = RepresentationFamily.exponential_targets([np.zeros((2, 2))] * 2, 2)
     fam = synthesize(targets, line_forms, line_loops, 2, tol=1e-10)
     conn = evaluate_at(fam, 0.0)
     assert all(frobenius(u) == 0.0 for u in conn.coefficients)
@@ -446,7 +445,7 @@ def test_radius_warning(line_forms):
 # ---------------------------------------------------------------------------
 
 def test_zero_targets_verify_exactly(line_forms, line_loops):
-    targets = RepresentationFamily.zero_targets(2, 2, 3)
+    targets = RepresentationFamily.exponential_targets([np.zeros((2, 2))] * 2, 3)
     fam = synthesize(targets, line_forms, line_loops, 3, tol=1e-10)
     report = verify_match(targets, fam, 0.05, line_loops, tol=1e-10)
     assert report.max_deviation < 1e-10

@@ -9,23 +9,17 @@ from monogate.paths import (
     LineSegment,
     PiecewisePath,
     PointsDivisor,
-    braid_generator_path,
     braid_word_path,
-    concat,
     generator_loop,
-    invert,
     loops_from_json,
     loops_to_json,
-    min_divisor_distance,
     path_from_json,
     path_to_json,
-    permutation_of_word,
     puncture_loops,
     pure_braid_word,
     segment_log_increment,
-    winding_number,
 )
-from oracles import sample_path
+from oracles import invert, min_divisor_distance, permutation_of_word, sample_path, winding_number
 
 
 def sampled_divisor_distance(path, divisor, per_segment=2000):
@@ -101,7 +95,7 @@ def test_log_increment_on_an_arc_whose_circle_meets_the_point():
 
 def test_concat_with_inverse_has_zero_winding():
     loop = generator_loop(2.0, 0.0, 0.5)
-    both = concat(loop, invert(loop))
+    both = PiecewisePath(loop.segments + invert(loop).segments)
     assert both.is_closed
     assert abs(winding_number(both, 0.0)) < 1e-6
 
@@ -109,9 +103,7 @@ def test_concat_with_inverse_has_zero_winding():
 def test_concat_of_four_generator_loops_winds_once_each():
     punctures = [0.0, 1.0, 2.0, 3.0]
     loops = puncture_loops(punctures, 1.5 - 2.0j, 0.3)
-    total = loops[0]
-    for p in loops[1:]:
-        total = concat(total, p)
+    total = PiecewisePath(sum((p.segments for p in loops), ()))
     for s in punctures:
         assert abs(winding_number(total, s) - 1.0) < 1e-6
 
@@ -134,8 +126,8 @@ def test_generator_loop_validation():
 def test_concat_endpoint_mismatch():
     a = generator_loop(2.0, 0.0, 0.5)
     b = generator_loop(3.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        concat(a, b)
+    with pytest.raises(ValueError, match="do not join"):
+        PiecewisePath(a.segments + b.segments)
 
 
 def test_path_continuity_enforced():
@@ -211,21 +203,21 @@ def test_pieces_are_exact_subsegments():
 
 
 def test_braid_generator_swaps_endpoints():
-    path = braid_generator_path(2, 1)
+    path = braid_word_path(2, [1])
     assert np.allclose(path.start, [1.0, 2.0])
     assert np.allclose(path.end, [2.0, 1.0])
 
 
 def test_braid_pair_separation_is_one():
     # the two half-circles stay diametrically opposite
-    path = braid_generator_path(2, 1)
+    path = braid_word_path(2, [1])
     seps = [abs(p[0] - p[1]) for p in sample_path(path, 500)]
     assert abs(min(seps) - 1.0) < 1e-12
     assert abs(max(seps) - 1.0) < 1e-12
 
 
 def test_braid_spectator_coordinate_constant():
-    path = braid_generator_path(3, 1)
+    path = braid_word_path(3, [1])
     assert all(abs(p[2] - 3.0) < 1e-12 for p in sample_path(path, 200))
 
 
@@ -236,7 +228,7 @@ def test_braid_square_closes():
 
 def test_braid_index_validation():
     with pytest.raises(ValueError):
-        braid_generator_path(3, 3)
+        braid_word_path(3, [3])
     with pytest.raises(ValueError):
         braid_word_path(2, [])
 
@@ -269,11 +261,11 @@ def test_pure_braid_index_validation():
 
 
 def test_custom_basepoint():
-    path = braid_generator_path(3, 2, basepoint=(0.0, 1.0, 4.0))
+    path = braid_word_path(3, [2], basepoint=(0.0, 1.0, 4.0))
     assert np.allclose(path.start, [0.0, 1.0, 4.0])
     assert np.allclose(path.end, [0.0, 4.0, 1.0])
     with pytest.raises(ValueError):
-        braid_generator_path(3, 1, basepoint=(2.0, 1.0, 3.0))
+        braid_word_path(3, [1], basepoint=(2.0, 1.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +289,7 @@ def test_loop_json_roundtrip():
 
 
 def test_closed_flag_validated():
-    path = braid_generator_path(2, 1)  # open path
+    path = braid_word_path(2, [1])  # open path
     obj = path_to_json(path)
     obj["closed"] = True
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import oracles
 from monogate import universality
 from monogate.gate_core import HADAMARD_STD, SIGMA_X, SIGMA_Z, named_gate
 from monogate.kz import SpinModule, build_kz, unitarize_kz
-from monogate.matrices import random_hermitian, random_su2, random_unitary
+from monogate.matrices import random_hermitian
 from monogate.universality import (
     DEFAULT_MAXLEN,
     GateSet,
@@ -18,7 +18,7 @@ from monogate.universality import (
     epsilon_net_coverage,
     haar_su2_samples,
 )
-from oracles import closure_levels_reference
+from oracles import closure_levels_reference, projective_distance, random_unitary
 
 T_GATE = named_gate("PHASE", 0.25).matrix
 PHASE_THIRD = named_gate("PHASE", 1 / 3).matrix
@@ -91,7 +91,7 @@ def test_haar_pair_closure_levels_are_free():
     # a Haar-random pair generates a free group: 4 * 3^(k-1) new words at
     # length k, up to the level where the node budget cuts the enumeration
     rng = np.random.default_rng(31)
-    report = density_screen(GateSet((random_su2(rng), random_su2(rng))), node_budget=2000)
+    report = density_screen(GateSet(tuple(haar_su2_samples(2, rng))), node_budget=2000)
     levels = list(report.closure_sizes)
     assert levels[:-1] == [1] + [4 * 3 ** (k - 1) for k in range(1, len(levels) - 1)]
     assert levels[-1] <= 4 * 3 ** (len(levels) - 2)
@@ -100,7 +100,7 @@ def test_haar_pair_closure_levels_are_free():
 
 def closure_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     if kind == "haar":
-        return random_su2(rng), random_su2(rng)
+        return tuple(haar_su2_samples(2, rng))
     if kind == "near-identity":
         # the pipeline's generators exp(2 pi i lambda H) at lambda = 0.05
         return tuple(expm(0.1j * np.pi * random_hermitian(4, rng)) for _ in range(3))
@@ -142,7 +142,7 @@ def test_closure_keys_at_most_one_slice_past_the_cut(monkeypatch):
     monkeypatch.setattr(universality, "_dedup_keys", counting)
     monkeypatch.setattr(oracles, "dedup_key", ref_counting)
     rng = np.random.default_rng(37)
-    gs = GateSet((random_su2(rng), random_su2(rng)))
+    gs = GateSet(tuple(haar_su2_samples(2, rng)))
     _, levels, _, exhausted = _closure_levels(gs, DEFAULT_MAXLEN, 20000)
     _, ref_levels, _, _ = closure_levels_reference(gs, DEFAULT_MAXLEN, 20000)
     assert exhausted and levels == ref_levels
@@ -212,6 +212,17 @@ def test_abelian_coverage_stays_low():
 def test_budget_flags_partial(ht_set):
     report = epsilon_net_coverage(ht_set, 12, 0.5, 50, seed=7, node_budget=100)
     assert report.partial
+
+
+def test_coverage_counts_targets_within_eps_of_a_word(ht_set):
+    # brute force over the same words and Haar targets, one projective
+    # distance per pair
+    words, *_ = _closure_levels(ht_set, 5, 200000)
+    targets = haar_su2_samples(60, np.random.default_rng(5))
+    covered = [min(projective_distance(w, t) for w in words) <= 0.4 for t in targets]
+    report = epsilon_net_coverage(ht_set, 5, 0.4, 60, seed=5)
+    assert report.words == len(words)
+    assert report.coverage == np.mean(covered)
 
 
 def test_coverage_needs_single_qubit():
