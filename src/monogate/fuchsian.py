@@ -2,15 +2,18 @@
 
 A connection here is a matrix-valued 1-form with first-order poles,
 Omega = sum_k C_k omega_k: a fixed system of m scalar logarithmic forms
-omega_k against one stacked (m, d*d) tensor of coefficients C_k, evaluated
-as (weights of the forms) @ (stack).  Two form systems cover every variant:
+omega_k against one (m, d, d) stack of coefficients C_k, evaluated as
+(weights of the forms) @ (stack).  There is one connection type,
+`Connection(forms, coefficients)`, and two form systems:
 `DifferenceForms`, dz/(z - a_j) minus the same at a reference point (at
-infinity for simple poles), and `ConfigurationForms`, d log(z_i - z_j) on the
-configuration space of n points.  Both are sums of d log(linear function),
+infinity for simple poles, as in a Fuchsian system), and
+`ConfigurationForms`, d log(z_i - z_j) on the configuration space of n
+points (as in the KZ connection).  Both are sums of d log(linear function),
 so their periods along lines and arcs are closed-form log increments
-(`periods`).  The variants `PointsConnection`, `DifferencesConnection` and
-`ConfigurationConnection` differ only in how their coefficients are named
-and serialized.
+(`periods`).  `PointsConnection(poles, residues)` is a `Connection` on the
+simple-pole forms that can also check that the residues sum to zero.  The
+wire format names three variants, `points`, `differences` and
+`configuration`, after the form system.
 
 Every ODE in the package is one call of `integrate_along`: it drives a
 column block Y of dY = Omega(gamma(t)) gamma'(t) Y dt by an adaptive
@@ -30,8 +33,8 @@ the basepoint below it (see `x4_generator_loops`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -55,9 +58,8 @@ __all__ = [
     "BranchCutError",
     "DifferenceForms",
     "ConfigurationForms",
+    "Connection",
     "PointsConnection",
-    "ConfigurationConnection",
-    "DifferencesConnection",
     "MonodromyRepresentation",
     "integrate_along",
     "transport",
@@ -167,9 +169,6 @@ class DifferenceForms(_LogForms):
             logs -= segment_log_increment(seg, self.reference)
         return logs
 
-    def connection(self, coefficients) -> "DifferencesConnection":
-        return DifferencesConnection(self.points, tuple(coefficients), reference=self.reference)
-
 
 @dataclass(frozen=True)
 class ConfigurationForms(_LogForms):
@@ -212,39 +211,42 @@ class ConfigurationForms(_LogForms):
             dtype=complex,
         )
 
-    def connection(self, coefficients) -> "ConfigurationConnection":
-        return ConfigurationConnection(self.n, dict(zip(self.pairs, coefficients)))
-
 
 # ---------------------------------------------------------------------------
-# Connection variants.
+# Connections.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _StackedConnection:
-    """Omega = sum_k C_k omega_k: scalar forms against one coefficient stack.
+@dataclass(frozen=True, eq=False)
+class Connection:
+    """Omega = sum_k C_k omega_k: the forms of a form system against one
+    coefficient stack.
 
-    `_stack` holds C_k as row k of an (m, d*d) array, the only copy of the
-    coefficients; the matrices a variant exposes are read-only views of it.
+    `coefficients` is the read-only (m, d, d) array of C_k, one matrix per
+    form in the order of `forms`; `contract` reads it through an (m, d*d)
+    view.
     """
 
-    forms: DifferenceForms | ConfigurationForms = field(init=False, repr=False, compare=False)
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    forms: DifferenceForms | ConfigurationForms
+    coefficients: np.ndarray
+    _stack: np.ndarray = field(init=False, repr=False)
 
-    def _store(self, forms, rows, dim: int) -> np.ndarray:
-        """Stack (k, C_k) pairs once, zero where no C_k is given; returns
-        the (m, d, d) view."""
-        stack = np.zeros((forms.count, dim, dim), dtype=complex)
-        for k, m in rows:
-            stack[k] = m
+    def __post_init__(self):
+        mats = [as_square_matrix(c) for c in self.coefficients]
+        if len(mats) != self.forms.count:
+            raise ValueError(
+                f"one coefficient matrix per form required: {self.forms.count} forms, {len(mats)} matrices"
+            )
+        if any(m.shape != mats[0].shape for m in mats):
+            raise ValueError("all coefficient matrices must share one dimension")
+        d = mats[0].shape[0] if mats else 1
+        stack = np.array(mats, dtype=complex).reshape(len(mats), d, d)
         stack.setflags(write=False)
-        object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "_stack", stack.reshape(forms.count, dim * dim))
-        return stack
+        object.__setattr__(self, "coefficients", stack)
+        object.__setattr__(self, "_stack", stack.reshape(len(mats), d * d))
 
     @property
     def dim(self) -> int:
-        return math.isqrt(self._stack.shape[1])
+        return self.coefficients.shape[1]
 
     @property
     def ambient(self) -> int:
@@ -259,86 +261,16 @@ class _StackedConnection:
         return (self.forms.weights(z, v) @ self._stack).reshape(d, d)
 
 
-def _same_dim(mats, what: str) -> int:
-    if mats and any(m.shape != mats[0].shape for m in mats):
-        raise ValueError(f"all {what} must share one dimension")
-    return mats[0].shape[0] if mats else 1
+class PointsConnection(Connection):
+    """Omega = sum_j A_j dz / (z - s_j) on C minus the poles; with
+    regular_at_infinity the residues must sum to zero."""
 
-
-@dataclass(frozen=True)
-class PointsConnection(_StackedConnection):
-    """Omega = sum_j A_j dz / (z - s_j) on C minus the poles."""
-
-    poles: tuple[complex, ...]
-    residues: tuple[np.ndarray, ...]
-    regular_at_infinity: bool = False
-
-    def __post_init__(self):
-        poles = tuple(complex(s) for s in self.poles)
-        res = tuple(as_square_matrix(a) for a in self.residues)
-        if len(poles) != len(res):
-            raise ValueError("one residue matrix per pole required")
-        dim = _same_dim(res, "residues")
-        if self.regular_at_infinity and res:
-            total = frobenius(sum(res))
+    def __init__(self, poles, residues, regular_at_infinity: bool = False):
+        super().__init__(DifferenceForms(poles), residues)
+        if regular_at_infinity:
+            total = frobenius(self.coefficients.sum(axis=0))
             if total > 1e-12:
                 raise ValueError(f"residues do not sum to zero (norm {total:.3e})")
-        stack = self._store(DifferenceForms(poles), enumerate(res), dim)
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "residues", tuple(stack))
-
-
-@dataclass(frozen=True)
-class ConfigurationConnection(_StackedConnection):
-    """Omega = sum_{i<j} O_ij d log(z_i - z_j) on the configuration space of n points."""
-
-    n: int
-    terms: dict = field(default_factory=dict)  # {(i, j) 0-based, i < j: matrix}
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("configuration connection needs n >= 2")
-        for i, j in self.terms:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad index pair ({i}, {j}) for n={self.n}")
-        mats = [as_square_matrix(m) for m in self.terms.values()]
-        dim = _same_dim(mats, "matrices")
-        forms = ConfigurationForms(self.n)
-        row = {pair: k for k, pair in enumerate(forms.pairs)}
-        stack = self._store(forms, ((row[pair], m) for pair, m in zip(self.terms, mats)), dim)
-        object.__setattr__(self, "terms", {pair: stack[row[pair]] for pair in self.terms})
-
-    def matrix(self, i: int, j: int) -> np.ndarray:
-        if i > j:
-            i, j = j, i
-        got = self.terms.get((i, j))
-        return got if got is not None else np.zeros((self.dim, self.dim), dtype=complex)
-
-
-@dataclass(frozen=True)
-class DifferencesConnection(_StackedConnection):
-    """Omega = sum_j U^j (dz/(z - a_j) - dz/(z - a_ref)) on a punctured line.
-
-    reference=None places the reference puncture at infinity, dropping the
-    second term.
-    """
-
-    points: tuple[complex, ...]
-    coefficients: tuple[np.ndarray, ...]
-    reference: complex | None = None
-
-    def __post_init__(self):
-        forms = DifferenceForms(self.points, self.reference)
-        coeffs = tuple(as_square_matrix(u) for u in self.coefficients)
-        if forms.count != len(coeffs):
-            raise ValueError("one coefficient matrix per puncture required")
-        stack = self._store(forms, enumerate(coeffs), _same_dim(coeffs, "coefficients"))
-        object.__setattr__(self, "points", forms.points)
-        object.__setattr__(self, "coefficients", tuple(stack))
-        object.__setattr__(self, "reference", forms.reference)
-
-
-Connection = PointsConnection | ConfigurationConnection | DifferencesConnection
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +392,7 @@ class MonodromyRepresentation:
 
 def monodromy_representation(conn: Connection, loops,
                              tol: float = 1e-10) -> MonodromyRepresentation:
-    """Transport each loop; all loops must share the basepoint."""
+    """Transport each loop; all loops must be closed and share the basepoint."""
     loops = list(loops)
     if not loops:
         raise ValueError("no loops given")
@@ -469,6 +401,9 @@ def monodromy_representation(conn: Connection, loops,
         if float(np.linalg.norm(p.start - base)) > 1e-9:
             raise ValueError("loops do not share a basepoint")
     labels = tuple(f"gamma_{k+1}" for k in range(len(loops)))
+    for label, p in zip(labels, loops):
+        if not p.is_closed:
+            raise ValueError(f"{label} is not a closed loop")
     mats = tuple(transport(conn, p, tol) for p in loops)
     return MonodromyRepresentation(labels, mats, base)
 
@@ -537,40 +472,29 @@ def residue_log(m, branch_start: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
-    """Violations of the infinitesimal braid relations, largest first."""
+    """The worst violation of the infinitesimal braid relations."""
 
     max_violation: float
-    violations: tuple
 
 
-def integrability_check(conn: ConfigurationConnection) -> IntegrabilityReport:
+def integrability_check(conn: Connection) -> IntegrabilityReport:
     """Check [O_ij, O_ik + O_jk] = 0, [O_ik, O_ij + O_jk] = 0 for i<j<k and
     [O_ij, O_kl] = 0 for disjoint pairs; report the worst violation."""
-    if not isinstance(conn, ConfigurationConnection):
+    if not isinstance(conn.forms, ConfigurationForms):
         raise ValueError("integrability check applies to configuration-space connections")
-    n = conn.n
-    records = []
+    o = dict(zip(conn.forms.pairs, conn.coefficients))
 
     def comm(a, b):
         return frobenius(a @ b - b @ a)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                o_ij, o_ik, o_jk = conn.matrix(i, j), conn.matrix(i, k), conn.matrix(j, k)
-                records.append((f"[O_{i+1}{j+1}, O_{i+1}{k+1} + O_{j+1}{k+1}]", comm(o_ij, o_ik + o_jk)))
-                records.append((f"[O_{i+1}{k+1}, O_{i+1}{j+1} + O_{j+1}{k+1}]", comm(o_ik, o_ij + o_jk)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(i + 1, n):
-                for l in range(k + 1, n):
-                    if len({i, j, k, l}) == 4 and (i, j) < (k, l):
-                        records.append(
-                            (f"[O_{i+1}{j+1}, O_{k+1}{l+1}]", comm(conn.matrix(i, j), conn.matrix(k, l)))
-                        )
-    records.sort(key=lambda r: -r[1])
-    worst = records[0][1] if records else 0.0
-    return IntegrabilityReport(worst, tuple(records))
+    worst = 0.0
+    for i, j, k in combinations(range(conn.forms.n), 3):
+        o_ij, o_ik, o_jk = o[i, j], o[i, k], o[j, k]
+        worst = max(worst, comm(o_ij, o_ik + o_jk), comm(o_ik, o_ij + o_jk))
+    for (i, j), (k, l) in combinations(conn.forms.pairs, 2):
+        if len({i, j, k, l}) == 4:
+            worst = max(worst, comm(o[i, j], o[k, l]))
+    return IntegrabilityReport(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -578,50 +502,53 @@ def integrability_check(conn: ConfigurationConnection) -> IntegrabilityReport:
 # ---------------------------------------------------------------------------
 
 def connection_to_json(conn: Connection) -> dict:
-    if isinstance(conn, PointsConnection):
-        return {
-            "variant": "points",
-            "poles": [complex_to_json(s) for s in conn.poles],
-            "residues": [matrix_to_json(a) for a in conn.residues],
-            "regular_at_infinity": conn.regular_at_infinity,
-        }
-    if isinstance(conn, DifferencesConnection):
-        return {
-            "variant": "differences",
-            "points": [complex_to_json(a) for a in conn.points],
-            "reference": None if conn.reference is None else complex_to_json(conn.reference),
-            "coefficients": [matrix_to_json(u) for u in conn.coefficients],
-        }
-    if isinstance(conn, ConfigurationConnection):
+    forms = conn.forms
+    if isinstance(forms, ConfigurationForms):
         return {
             "variant": "configuration",
-            "n": conn.n,
+            "n": forms.n,
             "terms": [
                 {"i": i + 1, "j": j + 1, "matrix": matrix_to_json(m)}
-                for (i, j), m in sorted(conn.terms.items())
+                for (i, j), m in zip(forms.pairs, conn.coefficients)
             ],
         }
-    raise ValueError(f"unknown connection type {type(conn).__name__}")
+    if forms.reference is None:
+        return {
+            "variant": "points",
+            "poles": [complex_to_json(s) for s in forms.points],
+            "residues": [matrix_to_json(a) for a in conn.coefficients],
+        }
+    return {
+        "variant": "differences",
+        "points": [complex_to_json(a) for a in forms.points],
+        "reference": complex_to_json(forms.reference),
+        "coefficients": [matrix_to_json(u) for u in conn.coefficients],
+    }
 
 
 def connection_from_json(obj) -> Connection:
     variant = obj.get("variant")
     if variant == "points":
         return PointsConnection(
-            tuple(complex_from_json(s) for s in obj["poles"]),
-            tuple(matrix_from_json(a) for a in obj["residues"]),
+            [complex_from_json(s) for s in obj["poles"]],
+            [matrix_from_json(a) for a in obj["residues"]],
             regular_at_infinity=bool(obj.get("regular_at_infinity", False)),
         )
     if variant == "differences":
         ref = obj.get("reference")
-        return DifferencesConnection(
+        forms = DifferenceForms(
             tuple(complex_from_json(a) for a in obj["points"]),
-            tuple(matrix_from_json(u) for u in obj["coefficients"]),
             reference=None if ref is None else complex_from_json(ref),
         )
+        return Connection(forms, [matrix_from_json(u) for u in obj["coefficients"]])
     if variant == "configuration":
-        terms = {
-            (t["i"] - 1, t["j"] - 1): matrix_from_json(t["matrix"]) for t in obj["terms"]
-        }
-        return ConfigurationConnection(obj["n"], terms)
+        forms = ConfigurationForms(obj["n"])
+        terms = {}
+        for t in obj["terms"]:
+            if not 1 <= t["i"] < t["j"] <= forms.n:
+                raise ValueError(f"bad index pair ({t['i']}, {t['j']}) for n={forms.n}")
+            terms[t["i"] - 1, t["j"] - 1] = matrix_from_json(t["matrix"])
+        d = next(iter(terms.values())).shape[0] if terms else 1
+        zero = np.zeros((d, d), dtype=complex)
+        return Connection(forms, [terms.get(pair, zero) for pair in forms.pairs])
     raise ValueError(f"unknown connection variant {variant!r}")

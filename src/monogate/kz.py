@@ -27,8 +27,8 @@ import numpy as np
 from scipy.linalg import block_diag, expm
 
 from .fuchsian import (
-    ConfigurationConnection,
     ConfigurationForms,
+    Connection,
     NumericsError,
     integrability_check,
     transport,
@@ -142,11 +142,12 @@ class KZSystem:
     modules: tuple[SpinModule, ...]
     lam: complex
     omegas: dict  # {(i, j) 0-based, i < j: operator on the full tensor product}
-    _connection: ConfigurationConnection = field(init=False, repr=False, compare=False)
+    _connection: Connection = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        terms = {pair: m / self.lam for pair, m in self.omegas.items()}
-        object.__setattr__(self, "_connection", ConfigurationConnection(self.n, terms))
+        forms = ConfigurationForms(self.n)
+        coefficients = [self.omegas[pair] / self.lam for pair in forms.pairs]
+        object.__setattr__(self, "_connection", Connection(forms, coefficients))
 
     @property
     def n(self) -> int:
@@ -156,7 +157,7 @@ class KZSystem:
     def dim(self) -> int:
         return int(np.prod([m.dim for m in self.modules]))
 
-    def connection(self) -> ConfigurationConnection:
+    def connection(self) -> Connection:
         """The flat connection with residues O_ij / lambda, built once."""
         return self._connection
 

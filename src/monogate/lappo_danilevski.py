@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import ConfigurationForms, DifferenceForms, integrate_along, transport
+from .fuchsian import ConfigurationForms, Connection, DifferenceForms, integrate_along, transport
 from .matrices import (
     as_square_matrix,
     complex_from_json,
@@ -79,7 +79,7 @@ def _first_column(forms, blocks: np.ndarray, path: PiecewisePath, tol: float) ->
     matrix blocks[j] (shape (m, N, d, N, d)), started from [I; 0; ...; 0];
     returns the N blocks of the first block column, shape (N, d, d)."""
     m, n, d = blocks.shape[:3]
-    conn = forms.connection(blocks.reshape(m, n * d, n * d))
+    conn = Connection(forms, blocks.reshape(m, n * d, n * d))
     return integrate_along(path, conn, np.eye(n * d, d, dtype=complex), tol).reshape(n, d, d)
 
 
@@ -164,7 +164,7 @@ class RepresentationFamily:
         return acc
 
     @classmethod
-    def exponential_targets(cls, hamiltonians, order: int, labels=()) -> "RepresentationFamily":
+    def exponential_targets(cls, hamiltonians, order: int) -> "RepresentationFamily":
         """Targets M^j(lambda) = exp(2 pi i lambda H_j), truncated at `order`."""
         coeffs = []
         for h in hamiltonians:
@@ -175,7 +175,7 @@ class RepresentationFamily:
                 term = term @ (TWO_PI_I * h) / k
                 gen.append(term)
             coeffs.append(tuple(gen))
-        return cls(tuple(coeffs), labels=tuple(labels))
+        return cls(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class ConnectionFamily:
         return float(min(ratios)) if ratios else np.inf
 
 
-def evaluate_at(family: ConnectionFamily, lam: complex):
+def evaluate_at(family: ConnectionFamily, lam: complex) -> Connection:
     """Sum the truncated series into a concrete logarithmic connection."""
     radius = family.radius_estimate()
     if np.isfinite(radius) and abs(lam) > radius:
@@ -220,7 +220,7 @@ def evaluate_at(family: ConnectionFamily, lam: complex):
         )
     zero = np.zeros((family.dim, family.dim), dtype=complex)
     residues = [sum((lam**k * m for k, m in enumerate(gen, start=1)), zero) for gen in family.coefficients]
-    return family.forms.connection(residues)
+    return Connection(family.forms, residues)
 
 
 def _check_loop_normalization(forms, loops):

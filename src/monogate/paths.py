@@ -362,23 +362,17 @@ def segment_log_increment(seg: Segment, point: complex) -> complex:
 # Braid and pure-braid paths in configuration space.
 # ---------------------------------------------------------------------------
 
-def _standard_basepoint(n: int) -> tuple[float, ...]:
-    return tuple(float(k) for k in range(1, n + 1))
-
-
-def braid_word_path(n: int, word, basepoint=None) -> PiecewisePath:
+def braid_word_path(n: int, word) -> PiecewisePath:
     """Configuration-space path realizing a braid word, one arc per letter.
 
     Each letter +/-i performs a half-twist of the two strands currently at
     slots i and i+1: both rotate about the slot midpoint, counterclockwise
-    for sigma_i and clockwise for its inverse.  The basepoint defaults to
+    for sigma_i and clockwise for its inverse.  The basepoint is
     (1, 2, ..., n).
     """
     if n < 2:
         raise ValueError("braids need n >= 2 strands")
-    slots = _standard_basepoint(n) if basepoint is None else tuple(float(x) for x in basepoint)
-    if len(slots) != n or any(b <= a for a, b in zip(slots, slots[1:])):
-        raise ValueError("basepoint must be n strictly increasing reals")
+    slots = tuple(float(k) for k in range(1, n + 1))
     if not word:
         raise ValueError("empty braid word")
     # occupant[k] = slot index currently holding coordinate k

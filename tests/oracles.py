@@ -30,10 +30,10 @@ library:
   per-segment log increments), `min_divisor_distance` (analytic clearance of
   a whole path) and `permutation_of_word` (the permutation under a braid
   word);
-* connections: `as_points_connection` (the simple-pole form of a difference
-  connection), `curvature_residual` (the commutator [Omega(u), Omega(v)] at a
-  point) and `chern_index` (the integer trace sum of the residue logarithms
-  of a monodromy representation);
+* connections: `as_points_connection` (the simple-pole form of a
+  `Connection` on difference forms), `curvature_residual` (the commutator
+  [Omega(u), Omega(v)] at a point) and `chern_index` (the integer trace sum
+  of the residue logarithms of a monodromy representation);
 * synthesis: `series_residuals`, the per-order deviations of a synthesized
   family from its targets;
 * spin modules: `casimir_value`, the Casimir scalar 2 j (j + 1);
@@ -298,14 +298,15 @@ def permutation_of_word(n: int, word) -> list[int]:
 
 
 def as_points_connection(conn) -> PointsConnection:
-    """The simple-pole form of a `DifferencesConnection` (adds the reference
-    pole if finite)."""
-    if conn.reference is None:
-        return PointsConnection(conn.points, conn.coefficients)
-    total = -sum(conn.coefficients, np.zeros((conn.dim, conn.dim), dtype=complex))
+    """The simple-pole form of a `Connection` on `DifferenceForms` (adds the
+    reference pole, if finite, with minus the sum of the coefficients)."""
+    forms = conn.forms
+    if forms.reference is None:
+        return PointsConnection(forms.points, conn.coefficients)
+    total = -conn.coefficients.sum(axis=0)
     return PointsConnection(
-        conn.points + (conn.reference,),
-        conn.coefficients + (total,),
+        forms.points + (forms.reference,),
+        [*conn.coefficients, total],
         regular_at_infinity=True,
     )
 

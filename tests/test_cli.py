@@ -7,7 +7,7 @@ from monogate.cli import _validate_args, build_parser, main
 from monogate.fuchsian import PointsConnection, connection_to_json
 from monogate.lappo_danilevski import RepresentationFamily, family_to_json
 from monogate.matrices import matrix_from_json, matrix_to_json
-from monogate.paths import generator_loop, loops_to_json, path_from_json
+from monogate.paths import LineSegment, PiecewisePath, generator_loop, loops_to_json, path_from_json
 
 
 def run(capsys, *argv):
@@ -103,9 +103,10 @@ def test_fuchsian_divisor_contact_is_numeric_error(tmp_path, capsys):
         "paths": [
             {
                 "dimension": 1,
-                "closed": False,
+                "closed": True,
                 "segments": [
-                    {"kind": "line", "start": [{"re": -1.0, "im": 0.0}], "end": [{"re": 1.0, "im": 0.0}]}
+                    {"kind": "line", "start": [{"re": -1.0, "im": 0.0}], "end": [{"re": 1.0, "im": 0.0}]},
+                    {"kind": "line", "start": [{"re": 1.0, "im": 0.0}], "end": [{"re": -1.0, "im": 0.0}]},
                 ],
             }
         ]
@@ -119,6 +120,57 @@ def test_fuchsian_divisor_contact_is_numeric_error(tmp_path, capsys):
     )
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_fuchsian_monodromy_rejects_an_open_path(tmp_path, capsys):
+    conn = PointsConnection((0.0,), (np.array([[0.25]]),))
+    (tmp_path / "conn.json").write_text(json.dumps(connection_to_json(conn)))
+    open_path = PiecewisePath((LineSegment(np.array([2.0 + 0j]), np.array([1.0 + 1.0j])),))
+    (tmp_path / "loops.json").write_text(json.dumps(loops_to_json([open_path])))
+    code, out, err = run(
+        capsys,
+        "fuchsian", "monodromy",
+        "--conn", str(tmp_path / "conn.json"),
+        "--loops", str(tmp_path / "loops.json"),
+    )
+    assert code == 1
+    assert out == ""
+    assert "gamma_1" in err
+
+
+ONE = matrix_to_json(np.array([[0.25]]))
+TWO = matrix_to_json(np.eye(2) * 0.25)
+REJECTED_CONNECTIONS = {
+    "pair i = j": {"variant": "configuration", "n": 3, "terms": [{"i": 2, "j": 2, "matrix": ONE}]},
+    "pair j > n": {"variant": "configuration", "n": 3, "terms": [{"i": 1, "j": 4, "matrix": ONE}]},
+    "pair i > j": {"variant": "configuration", "n": 3, "terms": [{"i": 2, "j": 1, "matrix": ONE}]},
+    "n = 1": {"variant": "configuration", "n": 1, "terms": []},
+    "2 poles 1 residue": {"variant": "points", "poles": [0.0, 1.0], "residues": [ONE]},
+    "residue dims 1 and 2": {"variant": "points", "poles": [0.0, 1.0], "residues": [ONE, TWO]},
+    "nan residue": {
+        "variant": "points",
+        "poles": [0.0],
+        "residues": [{"dim": 1, "entries": [[{"re": float("nan"), "im": 0.0}]]}],
+    },
+    "2 points 1 coefficient": {"variant": "differences", "points": [0.0, 1.0], "reference": None,
+                               "coefficients": [ONE]},
+    "residue sum not zero": {"variant": "points", "poles": [0.0, 1.0], "residues": [ONE, ONE],
+                             "regular_at_infinity": True},
+}
+
+
+@pytest.mark.parametrize("conn", REJECTED_CONNECTIONS.values(), ids=list(REJECTED_CONNECTIONS))
+def test_fuchsian_monodromy_rejects_bad_connection_files(conn, tmp_path, capsys):
+    (tmp_path / "conn.json").write_text(json.dumps(conn))
+    (tmp_path / "loops.json").write_text(json.dumps(loops_to_json([generator_loop(2.0, 0.0, 0.5)])))
+    code, out, _ = run(
+        capsys,
+        "fuchsian", "monodromy",
+        "--conn", str(tmp_path / "conn.json"),
+        "--loops", str(tmp_path / "loops.json"),
+    )
+    assert code == 1
+    assert out == ""
 
 
 def test_synth_verify_roundtrip(tmp_path, capsys):

@@ -5,11 +5,10 @@ from scipy.linalg import expm
 
 from monogate.fuchsian import (
     BranchCutError,
-    ConfigurationConnection,
     ConfigurationForms,
+    Connection,
     DefectiveMatrixError,
     DifferenceForms,
-    DifferencesConnection,
     DivisorContactError,
     MonodromyRepresentation,
     PointsConnection,
@@ -147,8 +146,8 @@ def test_integrate_along_needs_finite_positive_tol(unit_loop, tol, monkeypatch):
 def test_integrate_along_transports_a_column_block():
     # a (d, 2) start block is carried like its columns: Y(end) = F Y0
     rng = np.random.default_rng(71)
-    loop_conn = DifferencesConnection((0.0, 1.0), tuple(random_hermitian(2, rng, 0.4) for _ in range(2)))
-    braid_conn = ConfigurationConnection(3, {pair: random_hermitian(3, rng, 0.3) for pair in ((0, 1), (0, 2), (1, 2))})
+    loop_conn = Connection(DifferenceForms((0.0, 1.0)), [random_hermitian(2, rng, 0.4) for _ in range(2)])
+    braid_conn = Connection(ConfigurationForms(3), [random_hermitian(3, rng, 0.3) for _ in range(3)])
     cases = [
         (loop_conn, generator_loop(0.5 - 1.5j, 0.0, 0.3, avoid=(1.0,))),
         (braid_conn, braid_word_path(3, [1, -2, 1])),
@@ -161,7 +160,7 @@ def test_integrate_along_transports_a_column_block():
 
 
 def test_dimension_mismatch_rejected(unit_loop):
-    conn = ConfigurationConnection(2, {(0, 1): np.eye(2)})
+    conn = Connection(ConfigurationForms(2), [np.eye(2)])
     with pytest.raises(ValueError):
         transport(conn, unit_loop, 1e-10)
 
@@ -275,6 +274,13 @@ def test_loops_must_share_basepoint():
         monodromy_representation(conn, loops, 1e-10)
 
 
+def test_open_path_rejected_as_monodromy_loop():
+    conn = PointsConnection((0.0,), (np.eye(1) * 0.3,))
+    open_path = PiecewisePath((LineSegment(np.array([2.0 + 0j]), np.array([1.0 + 1.0j])),))
+    with pytest.raises(ValueError, match="gamma_2 is not a closed loop"):
+        monodromy_representation(conn, [generator_loop(2.0, 0.0, 0.5), open_path], 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # Residue logarithms and the Chern index.
 # ---------------------------------------------------------------------------
@@ -371,9 +377,7 @@ def test_scalar_curvature_vanishes():
 
 def test_commuting_family_curvature_vanishes():
     base = random_hermitian(2, RNG)
-    conn = ConfigurationConnection(
-        3, {(0, 1): 0.3 * base, (0, 2): -1.1 * base, (1, 2): 0.8 * base}
-    )
+    conn = Connection(ConfigurationForms(3), [0.3 * base, -1.1 * base, 0.8 * base])
     point = np.array([0.0, 1.0, 2.5 + 1.0j])
     u = np.array([1.0, -0.5j, 0.3])
     v = np.array([0.2, 1.0, -1.0j])
@@ -381,21 +385,19 @@ def test_commuting_family_curvature_vanishes():
 
 
 def test_curvature_rejects_divisor_point():
-    conn = ConfigurationConnection(2, {(0, 1): np.eye(2)})
+    conn = Connection(ConfigurationForms(2), [np.eye(2)])
     with pytest.raises(DivisorContactError):
         curvature_residual(conn, [1.0, 1.0], [1.0, 0.0], [0.0, 1.0])
 
 
 def test_integrability_vacuous_for_two_points():
-    conn = ConfigurationConnection(2, {(0, 1): random_hermitian(2, RNG)})
+    conn = Connection(ConfigurationForms(2), [random_hermitian(2, RNG)])
     report = integrability_check(conn)
     assert report.max_violation == 0.0
 
 
 def test_integrability_violation_reported():
-    conn = ConfigurationConnection(
-        3, {(0, 1): SIGMA_X, (0, 2): SIGMA_Z, (1, 2): np.zeros((2, 2))}
-    )
+    conn = Connection(ConfigurationForms(3), [SIGMA_X, SIGMA_Z, np.zeros((2, 2))])
     report = integrability_check(conn)
     expected = frobenius(SIGMA_X @ SIGMA_Z - SIGMA_Z @ SIGMA_X)  # = 2 sqrt 2
     assert abs(expected - 2 * np.sqrt(2)) < 1e-15
@@ -406,10 +408,8 @@ def test_integrability_violation_reported():
 def test_integrability_matches_curvature_on_random_commuting_families():
     rng = np.random.default_rng(2)
     base = random_hermitian(3, rng)
-    conn = ConfigurationConnection(
-        4,
-        {(i, j): rng.uniform(-1, 1) * base for i in range(4) for j in range(i + 1, 4)},
-    )
+    forms = ConfigurationForms(4)
+    conn = Connection(forms, [rng.uniform(-1, 1) * base for _ in forms.pairs])
     report = integrability_check(conn)
     assert report.max_violation < 1e-12
     for _ in range(5):
@@ -427,25 +427,31 @@ def test_points_connection_json_roundtrip():
     conn = PointsConnection((0.0, 1.0 + 1.0j), (random_hermitian(2, RNG), random_hermitian(2, RNG)))
     again = connection_from_json(connection_to_json(conn))
     assert isinstance(again, PointsConnection)
-    assert np.allclose(again.residues[1], conn.residues[1])
+    assert again.forms == conn.forms
+    assert np.allclose(again.coefficients[1], conn.coefficients[1])
 
 
 def test_differences_connection_json_roundtrip():
-    conn = DifferencesConnection((0.0, 1.0), (np.eye(2) * 0.1, np.eye(2) * 0.2), reference=5.0)
+    conn = Connection(DifferenceForms((0.0, 1.0), reference=5.0), [np.eye(2) * 0.1, np.eye(2) * 0.2])
     again = connection_from_json(connection_to_json(conn))
-    assert isinstance(again, DifferencesConnection)
-    assert again.reference == 5.0
+    assert isinstance(again.forms, DifferenceForms)
+    assert again.forms.reference == 5.0
     eq = as_points_connection(again)
-    assert eq.regular_at_infinity
-    assert np.allclose(eq.residues[2], -0.3 * np.eye(2))
+    assert frobenius(eq.coefficients.sum(axis=0)) <= 1e-12
+    assert np.allclose(eq.coefficients[2], -0.3 * np.eye(2))
 
 
 def test_configuration_connection_json_roundtrip():
-    conn = ConfigurationConnection(3, {(0, 1): SIGMA_X, (1, 2): SIGMA_Z})
-    again = connection_from_json(connection_to_json(conn))
-    assert isinstance(again, ConfigurationConnection)
-    assert np.allclose(again.matrix(1, 2), SIGMA_Z)
-    assert np.allclose(again.matrix(0, 2), np.zeros((2, 2)))
+    forms = ConfigurationForms(3)
+    conn = Connection(forms, [SIGMA_X, np.zeros((2, 2)), SIGMA_Z])
+    obj = connection_to_json(conn)
+    assert [(t["i"], t["j"]) for t in obj["terms"]] == [(1, 2), (1, 3), (2, 3)]
+    # a file may leave out pairs; the reader puts zeros there
+    obj["terms"] = [t for t in obj["terms"] if (t["i"], t["j"]) != (1, 3)]
+    again = connection_from_json(obj)
+    assert again.forms == forms
+    assert np.allclose(again.coefficients[forms.pairs.index((1, 2))], SIGMA_Z)
+    assert np.allclose(again.coefficients[forms.pairs.index((0, 2))], np.zeros((2, 2)))
 
 
 def test_regular_at_infinity_validated():
@@ -465,7 +471,8 @@ def test_configuration_contract_matches_explicit_sum(n):
         (i, j): rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         for i in range(n) for j in range(i + 1, n)
     }
-    conn = ConfigurationConnection(n, terms)
+    forms = ConfigurationForms(n)
+    conn = Connection(forms, [terms[pair] for pair in forms.pairs])
     for _ in range(5):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -474,22 +481,24 @@ def test_configuration_contract_matches_explicit_sum(n):
 
 
 def test_coefficients_are_views_of_the_stack():
-    conn = ConfigurationConnection(4, {(0, 2): SIGMA_X, (1, 3): SIGMA_Z})
-    for pair, m in conn.terms.items():
+    forms = ConfigurationForms(4)
+    terms = {(0, 2): SIGMA_X, (1, 3): SIGMA_Z}
+    conn = Connection(forms, [terms.get(pair, np.zeros((2, 2))) for pair in forms.pairs])
+    for pair, m in zip(forms.pairs, conn.coefficients):
         assert np.shares_memory(m, conn._stack), pair
-    assert np.array_equal(conn.matrix(0, 2), SIGMA_X)
-    assert np.array_equal(conn.matrix(0, 1), np.zeros((2, 2)))
+    assert np.array_equal(conn.coefficients[forms.pairs.index((0, 2))], SIGMA_X)
+    assert np.array_equal(conn.coefficients[forms.pairs.index((0, 1))], np.zeros((2, 2)))
     points = PointsConnection((0.0, 1.0), (SIGMA_X, SIGMA_Z))
-    diffs = DifferencesConnection((0.0, 1.0), (SIGMA_X, SIGMA_Z), reference=2.0)
-    for c in (points, diffs):
-        mats = c.residues if isinstance(c, PointsConnection) else c.coefficients
-        assert all(np.shares_memory(m, c._stack) for m in mats)
+    diffs = Connection(DifferenceForms((0.0, 1.0), reference=2.0), [SIGMA_X, SIGMA_Z])
+    for c in (conn, points, diffs):
+        assert all(np.shares_memory(m, c._stack) for m in c.coefficients)
+        assert not c.coefficients.flags.writeable
 
 
 def test_differences_contract_matches_points_form():
     rng = np.random.default_rng(7)
     coeffs = tuple(random_hermitian(2, rng) for _ in range(3))
-    conn = DifferencesConnection((0.0, 1.0, 2.0 + 1.0j), coeffs, reference=-1.0 + 0.5j)
+    conn = Connection(DifferenceForms((0.0, 1.0, 2.0 + 1.0j), reference=-1.0 + 0.5j), coeffs)
     points = as_points_connection(conn)
     assert conn.divisor.points == points.divisor.points
     for _ in range(5):

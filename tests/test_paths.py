@@ -260,14 +260,6 @@ def test_pure_braid_index_validation():
         pure_braid_word(3, 1, 4)
 
 
-def test_custom_basepoint():
-    path = braid_word_path(3, [2], basepoint=(0.0, 1.0, 4.0))
-    assert np.allclose(path.start, [0.0, 1.0, 4.0])
-    assert np.allclose(path.end, [0.0, 4.0, 1.0])
-    with pytest.raises(ValueError):
-        braid_word_path(3, [1], basepoint=(2.0, 1.0, 3.0))
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 # ---------------------------------------------------------------------------
