@@ -257,10 +257,9 @@ def _cmd_kz(args) -> int:
     # kz verify
     relations = kz.verify_braid_relations(mats, args.n, tol=args.relation_tol)
     twist_devs = []
-    conn = sys_.connection()
-    for i in range(1, args.n):
-        full = fuchsian.transport(conn, paths.braid_word_path(args.n, [i, i]), tol=args.tol)
-        twist_devs.append(float(np.linalg.norm(mats[i - 1] @ mats[i - 1] - full)))
+    for i, b in enumerate(mats, start=1):
+        full = kz._full_twist(sys_, b, i, args.tol)
+        twist_devs.append(float(np.linalg.norm(b @ b - full)))
     res = kz.unitarize_kz(sys_, mats, tol=args.tol)
     report = {
         "command": "kz verify",

@@ -11,6 +11,16 @@ half-twist followed by the factor flip yields quantum gates on V^{(x) n}.
 The product basis is a weight basis, so the isotypic decomposition under the
 global sl2 action is read off it directly.
 
+Braid gates are transported in the highest-weight multiplicity spaces.  Every
+O_ij commutes with the diagonal sl2 action, so the transport F maps the space
+of spin-j highest-weight vectors to itself, and as it also commutes with J-
+it acts on every level of the spin-j towers by one mu_j x mu_j matrix F_j:
+F = Q (+)_j (I_{2j+1} (x) F_j) Q^H with Q the unitary tower frame.  One solve
+of the connection restricted to the highest-weight vectors, of dimension
+sum_j mu_j (C(n, floor(n/2)) for spin 1/2), gives every block at once; the
+factor flip commutes with sl2 as well, and the product-basis gate is then
+assembled in closed form.  The frame is computed once per system.
+
 For n = 2 the clockwise half-twist with the flip divided out equals
 e^{-pi i O / lambda} in closed form; the orientation-free anchor
 (half-twist)^2 = full pure-braid twist is what the tests pin down, since the
@@ -20,7 +30,8 @@ sign in the exponent is a convention choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +41,7 @@ from .fuchsian import (
     ConfigurationForms,
     Connection,
     NumericsError,
+    integrate_along,
     integrability_check,
     transport,
 )
@@ -142,12 +154,6 @@ class KZSystem:
     modules: tuple[SpinModule, ...]
     lam: complex
     omegas: dict  # {(i, j) 0-based, i < j: operator on the full tensor product}
-    _connection: Connection = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        forms = ConfigurationForms(self.n)
-        coefficients = [self.omegas[pair] / self.lam for pair in forms.pairs]
-        object.__setattr__(self, "_connection", Connection(forms, coefficients))
 
     @property
     def n(self) -> int:
@@ -160,6 +166,30 @@ class KZSystem:
     def connection(self) -> Connection:
         """The flat connection with residues O_ij / lambda, built once."""
         return self._connection
+
+    @cached_property
+    def _connection(self) -> Connection:
+        forms = ConfigurationForms(self.n)
+        return Connection(forms, [self.omegas[pair] / self.lam for pair in forms.pairs])
+
+    @cached_property
+    def _towers(self) -> list:
+        """`_isotypic_towers` of this system, computed once."""
+        return _isotypic_towers(self)
+
+    @cached_property
+    def _hw(self) -> np.ndarray:
+        """dim x sum_j mu_j: the highest-weight vectors of every spin, side by side."""
+        return np.hstack([towers[0] for _, towers in self._towers])
+
+    @cached_property
+    def _hw_connection(self) -> Connection:
+        """The connection restricted to the highest-weight vectors, residues
+        hw^H (O_ij / lambda) hw; block diagonal over the spins, since O_ij
+        preserves the weight and maps highest-weight vectors to such."""
+        forms = ConfigurationForms(self.n)
+        hw = self._hw
+        return Connection(forms, [hw.conj().T @ self.omegas[pair] @ hw / self.lam for pair in forms.pairs])
 
 
 def build_kz(modules, lam: complex) -> KZSystem:
@@ -226,13 +256,46 @@ def flip_operator(n: int, d: int, i: int) -> np.ndarray:
     return eye.swapaxes(i - 1, i).reshape(d**n, d**n)
 
 
+def _from_hw_blocks(sys: KZSystem, blocks: np.ndarray) -> np.ndarray:
+    """Q (+)_j (I_{2j+1} (x) B_j) Q^H on the tensor product: the operator
+    commuting with sl2 that acts on every level of the spin-j towers by the
+    diagonal block B_j of the sum_j mu_j square `blocks`."""
+    out = np.zeros((sys.dim, sys.dim), dtype=complex)
+    start = 0
+    for _, towers in sys._towers:
+        mu = towers[0].shape[1]
+        b = blocks[start : start + mu, start : start + mu]
+        for w in towers:
+            out += w @ b @ w.conj().T
+        start += mu
+    return out
+
+
 def braid_matrix(sys: KZSystem, i: int, tol: float = 1e-10) -> np.ndarray:
     """Monodromy gate of the braid generator sigma_i: flip after the
-    counterclockwise half-twist transport.  Requires identical modules."""
+    counterclockwise half-twist transport.  Requires identical modules.
+
+    The transport is one solve of the connection restricted to the
+    highest-weight vectors (`KZSystem._hw_connection`); the flip's
+    highest-weight blocks act after it, and the gate is assembled on the
+    tensor product from the system's cached tower frame."""
     if len({m.spin for m in sys.modules}) != 1:
         raise ValueError("the braid extension needs identical modules V1 = ... = Vn")
-    t = transport(sys.connection(), braid_word_path(sys.n, [i]), tol)
-    return flip_operator(sys.n, sys.modules[0].dim, i) @ t
+    half = transport(sys._hw_connection, braid_word_path(sys.n, [i]), tol)
+    hw = sys._hw
+    flip = hw.conj().T @ flip_operator(sys.n, sys.modules[0].dim, i) @ hw
+    return _from_hw_blocks(sys, flip @ half)
+
+
+def _full_twist(sys: KZSystem, gate: np.ndarray, i: int, tol: float) -> np.ndarray:
+    """Transport along `braid_word_path(n, [i, i])`, given the gate
+    `braid_matrix(sys, i, tol)`.  The first arc is that gate's half-twist with
+    the flip undone, so only the second arc is solved, from there, in the
+    highest-weight blocks."""
+    hw = sys._hw
+    first = hw.conj().T @ flip_operator(sys.n, sys.modules[0].dim, i) @ gate @ hw
+    second = PiecewisePath(braid_word_path(sys.n, [i, i]).segments[1:])
+    return _from_hw_blocks(sys, integrate_along(second, sys._hw_connection, first, tol))
 
 
 def braid_word_matrix(mats, word) -> np.ndarray:
@@ -374,26 +437,27 @@ def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10) -> UnitarizationR
     is quotiented by the form's radical.  Returns the assembled quotient rep,
     block diagonal in `_isotypic_towers` order, the positive semidefinite form
     on the original space, the worst unitarity defect, and the radical
-    dimension."""
+    dimension.  The tower frame is the one the system caches, shared with
+    `braid_matrix`."""
     if mats is None:
         mats = [braid_matrix(sys, i, tol) for i in range(1, sys.n)]
     mats = [as_square_matrix(m) for m in mats]
     kept_blocks = []  # per surviving block: its kept gates, one per generator
-    form_full = np.zeros((sys.dim, sys.dim), dtype=complex)
+    forms = []  # per block: its invariant form
     radical_total = 0
-    for j, towers in _isotypic_towers(sys):
+    for j, towers in sys._towers:
         hw = towers[0]
         blocks = [hw.conj().T @ b @ hw for b in mats]
         h_block, kept, radical = _unitarize_block(blocks)
         radical_total += radical * len(towers)
-        for w in towers:
-            form_full += w @ h_block @ w.conj().T
+        forms.append(h_block)
         if kept is not None:
             kept_blocks.append([np.kron(np.eye(len(towers), dtype=complex), bq) for bq in kept])
     if not kept_blocks:
         raise ValueError("every isotypic block died; representation has no unitary quotient")
     assembled = [block_diag(*blocks) for blocks in zip(*kept_blocks)]
     defect = max(unitarity_defect(b) for b in assembled)
+    form_full = _from_hw_blocks(sys, block_diag(*forms))
     return UnitarizationResult(form_full, tuple(assembled), defect, radical_total)
 
 

@@ -15,6 +15,9 @@ and slower route, so tests can compare the two:
 * `unitarize_representation`: the most definite invariant Hermitian form of
   any representation by supergradient ascent over the space of forms,
   against `unitarize_kz`'s unique form per multiplicity block.
+* `full_space_braid_matrix`: the KZ braid gate from the transport of the
+  full dim x dim fundamental solution, against `kz.braid_matrix`'s transport
+  in the highest-weight multiplicity spaces.
 * `jimbo_braid_rep`: Jimbo's R-matrix representation of the braid group,
   which by Drinfeld-Kohno has the same braid-word traces as the spin-1/2 KZ
   gates at q = e^{pi i / lambda}, with no transport at all.
@@ -53,12 +56,13 @@ from monogate.fuchsian import (
     DivisorContactError,
     PointsConnection,
     residue_log,
+    transport,
 )
 from monogate.gate_core import QuantumGate
-from monogate.kz import UnitarizationResult, _hermitian_kernel_basis
+from monogate.kz import UnitarizationResult, _hermitian_kernel_basis, flip_operator
 from monogate.lappo_danilevski import ConnectionFamily, jet_monodromy, matrix_chen_integral
 from monogate.matrices import as_square_matrix, frobenius, unitarity_defect
-from monogate.paths import ArcSegment, LineSegment, PiecewisePath, segment_log_increment
+from monogate.paths import ArcSegment, LineSegment, PiecewisePath, braid_word_path, segment_log_increment
 from monogate.universality import DEDUP_TOL
 
 TWO_PI_I = 2j * np.pi
@@ -240,6 +244,13 @@ def closure_levels_reference(gs, maxlen: int, node_budget: int):
         if budget_exhausted:
             break
     return elements, levels, saturated, budget_exhausted
+
+
+def full_space_braid_matrix(sys, i: int, tol: float = 1e-10) -> np.ndarray:
+    """The gate of sigma_i as the flip after the half-twist transport of the
+    whole connection on the tensor product, a dim^2-entry solve."""
+    t = transport(sys.connection(), braid_word_path(sys.n, [i]), tol)
+    return flip_operator(sys.n, sys.modules[0].dim, i) @ t
 
 
 def jimbo_braid_rep(n: int, q: complex) -> list[np.ndarray]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from monogate import kz
+from monogate import cli, fuchsian, kz
 from monogate.fuchsian import (
     ConfigurationForms,
     Connection,
@@ -35,6 +35,7 @@ from monogate.paths import LineSegment, PiecewisePath, braid_word_path
 from oracles import (
     casimir_omega_via_coproduct,
     casimir_value,
+    full_space_braid_matrix,
     jimbo_braid_rep,
     random_unitary,
     two_point_solution,
@@ -285,6 +286,69 @@ def test_braid_matrix_requires_identical_modules():
         braid_matrix(mixed, 1)
 
 
+# ---------------------------------------------------------------------------
+# Transport in the highest-weight multiplicity spaces.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "spin, n, lam",
+    [(0.5, n, lam) for n in (2, 3, 4, 5, 6) for lam in (3.0, 4.0, 7.3)]
+    + [(1.0, 3, 4.3), (1.0, 4, 4.3), (1.5, 3, 4.3)],
+)
+def test_braid_matrix_matches_the_full_space_transport(spin, n, lam):
+    sys = build_kz([SpinModule(spin)] * n, lam)
+    gates = [braid_matrix(sys, i) for i in range(1, n)]
+    oracle = [full_space_braid_matrix(sys, i) for i in range(1, n)]
+    for got, want in zip(gates, oracle):
+        assert frobenius(got - want) <= 1e-10
+    res, ref = unitarize_kz(sys, gates), unitarize_kz(sys, oracle)
+    assert res.radical_dim == ref.radical_dim
+    assert abs(res.defect - ref.defect) <= 1e-10
+
+
+def test_full_twist_from_the_gate_matches_the_full_space_transport(sys3, braid3):
+    for i, b in enumerate(braid3, start=1):
+        full = transport(sys3.connection(), braid_word_path(3, [i, i]), 1e-11)
+        assert frobenius(kz._full_twist(sys3, b, i, 1e-11) - full) < 1e-9
+
+
+def test_braid_gates_are_solved_in_the_multiplicity_space(monkeypatch, capsys):
+    # the half-twist is one solve of a sum_j mu_j = C(n, n/2) square state,
+    # not of a 2^n square one; kz verify solves each generator's arc and the
+    # second arc of its full twist, 2 (n - 1) solves in all
+    sizes = []
+    solve = fuchsian.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        sizes.append(len(y0))
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", recording)
+    for n, mu in [(6, 20), (7, 35)]:
+        sizes.clear()
+        braid_matrix(build_kz([HALF] * n, 7.5), 1)
+        assert sizes == [mu * mu]
+    sizes.clear()
+    assert cli.main(["kz", "verify", "--n", "6", "--lambda", "7.5"]) == 0
+    capsys.readouterr()
+    assert sizes == [20 * 20] * 10
+
+
+def test_the_tower_frame_is_computed_once_per_system(monkeypatch):
+    calls = []
+    towers = kz._isotypic_towers
+
+    def counting(sys):
+        calls.append(sys)
+        return towers(sys)
+
+    monkeypatch.setattr(kz, "_isotypic_towers", counting)
+    sys = build_kz([HALF] * 4, 7.5)
+    gates = [braid_matrix(sys, i) for i in (1, 2, 3)]
+    unitarize_kz(sys, gates)
+    assert calls == [sys]
+
+
 @cache
 def half_spin_gates(n: int, lam: float) -> tuple[np.ndarray, ...]:
     sys = build_kz([HALF] * n, lam)
@@ -292,7 +356,7 @@ def half_spin_gates(n: int, lam: float) -> tuple[np.ndarray, ...]:
 
 
 @pytest.mark.parametrize("lam", [3.0, 3.3, 4.0, 7.5])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 @settings(derandomize=True, deadline=None, max_examples=8)
 @given(data=st.data())
 def test_braid_word_traces_match_the_jimbo_representation(n, lam, data):
