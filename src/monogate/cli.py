@@ -103,7 +103,7 @@ def _emit(report: dict, args) -> None:
     if getattr(args, "format", "json") == "text":
         payload = _render_text(report)
     else:
-        payload = json.dumps(report, indent=2)
+        payload = json.dumps(report)
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(payload + "\n", encoding="utf-8")
@@ -229,37 +229,31 @@ def _cmd_synth(args) -> int:
 def _build_kz(args) -> tuple[kz.KZSystem, list[np.ndarray]]:
     modules = [kz.SpinModule(args.spin) for _ in range(args.n)]
     sys_ = kz.build_kz(modules, args.lam)
-    mats = [kz.braid_matrix(sys_, i, tol=args.tol) for i in range(1, args.n)]
+    mats = kz.braid_matrices(sys_, range(1, args.n), tol=args.tol)
     return sys_, mats
 
 
 def _cmd_kz(args) -> int:
     sys_, mats = _build_kz(args)
     if args.kz_command == "braid":
-        out_mats, labels = mats, [f"sigma_{i}" for i in range(1, args.n)]
-        radical = None
-        if args.unitarize:
-            res = kz.unitarize_kz(sys_, mats, tol=args.tol)
-            out_mats = list(res.matrices)
-            radical = res.radical_dim
+        res = kz.unitarize_kz(sys_, mats, tol=args.tol) if args.unitarize else None
+        out_mats = mats if res is None else res.matrices
         report = {
             "command": "kz braid",
             "config": _config(args),
             "gates": [
-                {"label": lab, "matrix": matrix_to_json(m)}
-                for lab, m in zip(labels, out_mats)
+                {"label": f"sigma_{i}", "matrix": matrix_to_json(m)}
+                for i, m in enumerate(out_mats, start=1)
             ],
         }
-        if radical is not None:
-            report["radical_dim"] = radical
+        if res is not None:
+            report["radical_dim"] = res.radical_dim
         _emit(report, args)
         return EXIT_OK
     # kz verify
     relations = kz.verify_braid_relations(mats, args.n, tol=args.relation_tol)
-    twist_devs = []
-    for i, b in enumerate(mats, start=1):
-        full = kz._full_twist(sys_, b, i, args.tol)
-        twist_devs.append(float(np.linalg.norm(b @ b - full)))
+    fulls = kz._full_twists(sys_, mats, args.tol)
+    twist_devs = [float(np.linalg.norm(b @ b - full)) for b, full in zip(mats, fulls)]
     res = kz.unitarize_kz(sys_, mats, tol=args.tol)
     report = {
         "command": "kz verify",

@@ -15,15 +15,22 @@ simple-pole forms that can also check that the residues sum to zero.  The
 wire format names three variants, `points`, `differences` and
 `configuration`, after the form system.
 
-Every ODE in the package is one call of `integrate_along`: it drives a
-column block Y of dY = Omega(gamma(t)) gamma'(t) Y dt by an adaptive
-embedded Runge-Kutta scheme (DOP853), one solve per piece of the path, with
-the step capped by the piece's own distance from the divisor.  Transport is
-the block Y(start) = I; jets and Chen integrals are transports of nilpotent
-block connections over the same forms (`lappo_danilevski`).  A segment is
-one piece unless it dips toward the divisor in its interior; then it is cut
-into pieces graded by clearance, so a loop that passes a pole at distance h
-costs O(log(1/h)) solver steps rather than O(1/h).
+Every ODE in the package is one call of `_solve`: it drives a batch of
+column blocks Y of dY = Omega(gamma(t)) gamma'(t) Y dt, one along each of B
+path pieces, by one adaptive embedded Runge-Kutta run (DOP853) on the
+stacked (B, d, c) state.  The step is capped by the smallest of the pieces'
+own distances from the divisor, and the local tolerances are divided by
+sqrt(B), so every piece keeps the error bound a solve of it alone would
+accept.  Two schedules share that one solve: `transports` takes every piece
+of every path from I at once and multiplies each path's pieces afterwards
+(monodromy, braid half-twists); `integrate_along` carries given blocks,
+solving the r-th piece of every path in round r (jets, Chen integrals, the
+second arc of a full twist).  Jets and Chen integrals are transports of
+nilpotent block connections over the same forms (`lappo_danilevski`).  A
+segment is one piece unless it dips toward the divisor in its interior;
+then it is cut into pieces graded by clearance, so a loop that passes a
+pole at distance h costs O(log(1/h)) pieces of a few steps each rather
+than O(1/h) steps.
 
 Composition convention: loops act on solution columns, so traversing gamma
 then delta gives M(delta) @ M(gamma).  The X_4 relation M1 M2 M3 M4 = I holds
@@ -48,7 +55,14 @@ from .matrices import (
     matrix_from_json,
     matrix_to_json,
 )
-from .paths import PiecewisePath, PointsDivisor, DiagonalDivisor, puncture_loops, segment_log_increment
+from .paths import (
+    ArcSegment,
+    DiagonalDivisor,
+    PiecewisePath,
+    PointsDivisor,
+    puncture_loops,
+    segment_log_increment,
+)
 
 __all__ = [
     "NumericsError",
@@ -62,6 +76,7 @@ __all__ = [
     "PointsConnection",
     "MonodromyRepresentation",
     "integrate_along",
+    "transports",
     "transport",
     "monodromy_representation",
     "residue_log",
@@ -156,11 +171,12 @@ class DifferenceForms(_LogForms):
         return 1
 
     def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """All form values omega_j(z)(v) as one vector."""
-        z0, v0 = complex(z[0]), complex(v[0])
+        """All form values omega_j(z)(v): an (m,) vector at one point, or
+        (B, m) for a stack of B points (z and v of shape (B, 1))."""
+        z0, v0 = z[..., :1], v[..., :1]
         w = v0 / (z0 - self._point_vector)
         if self.reference is not None:
-            w -= v0 / (z0 - self.reference)
+            w = w - v0 / (z0 - self.reference)
         return w
 
     def _increments(self, seg) -> np.ndarray:
@@ -200,9 +216,11 @@ class ConfigurationForms(_LogForms):
         return self.n
 
     def weights(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """All form values d log(z_i - z_j)(v) as one vector, in `pairs` order."""
+        """All form values d log(z_i - z_j)(v) in `pairs` order: an (m,)
+        vector at one point, or (B, m) for a stack of B points (z and v of
+        shape (B, n))."""
         i, j = self._left, self._right
-        return (v[i] - v[j]) / (z[i] - z[j])
+        return (v[..., i] - v[..., j]) / (z[..., i] - z[..., j])
 
     def _increments(self, seg) -> np.ndarray:
         """z_i - z_j traces a line, an arc or a point in C."""
@@ -257,8 +275,10 @@ class Connection:
         return self.forms.divisor
 
     def contract(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return (self.forms.weights(z, v) @ self._stack).reshape(d, d)
+        """Omega(z)(v): a (d, d) matrix at one point, or (B, d, d) for a
+        stack of B points."""
+        w = self.forms.weights(z, v)
+        return (w @ self._stack).reshape(*w.shape[:-1], self.dim, self.dim)
 
 
 class PointsConnection(Connection):
@@ -311,55 +331,130 @@ def _graded_pieces(seg, clearance: float, divisor):
     return pieces
 
 
-def integrate_along(path: PiecewisePath, conn: Connection, y0: np.ndarray, tol: float) -> np.ndarray:
-    """Drive a column block Y of dY = Omega Y along a path, piece by piece.
+def _plan(conn: Connection, paths, tol: float) -> list[list]:
+    """The (piece, clearance) pairs of every path, in order.
 
-    Omega = `conn.contract(z, v)`; Y starts at y0 (conn.dim rows, any
-    number of columns) and is returned at the path end in y0's shape.  The
-    local solver tolerance sits two orders below `tol`.  Each piece is one
-    solve whose step is capped at 0.5 x (the piece's own clearance from the
-    divisor) / speed, so no step can skip a pole.  Segments that pass close
-    to a pole in their interior are cut into pieces graded by clearance
-    (`_graded_pieces`), so their cost grows like log(1/h) in the closest
-    approach h, not like 1/h.
-    """
+    Checks the tolerance and every segment's clearance before anything is
+    solved; segments that do not move are left out."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if path.dimension != conn.ambient:
-        raise ValueError(f"path in C^{path.dimension} vs connection on C^{conn.ambient}")
-    rtol = max(tol * 1e-2, 3e-14)
-    atol = max(tol * 1e-3, 1e-14)
-    d = conn.dim
-    y0 = np.asarray(y0, dtype=complex)
-    state = y0.reshape(-1)
-    for seg in path.segments:
-        clearance = conn.divisor.segment_distance(seg)
-        if clearance <= MIN_CLEARANCE:
-            raise DivisorContactError(clearance)
-        if seg.max_speed() == 0.0:
-            continue
-        for piece, piece_clearance in _graded_pieces(seg, clearance, conn.divisor):
-            def rhs(t, y):
-                return (conn.contract(piece.at(t), piece.velocity(t)) @ y.reshape(d, -1)).reshape(-1)
+    plans = []
+    for path in paths:
+        if path.dimension != conn.ambient:
+            raise ValueError(f"path in C^{path.dimension} vs connection on C^{conn.ambient}")
+        plan = []
+        for seg in path.segments:
+            clearance = conn.divisor.segment_distance(seg)
+            if clearance <= MIN_CLEARANCE:
+                raise DivisorContactError(clearance)
+            if seg.max_speed() != 0.0:
+                plan.extend(_graded_pieces(seg, clearance, conn.divisor))
+        plans.append(plan)
+    return plans
 
-            sol = solve_ivp(
-                rhs,
-                (0.0, 1.0),
-                state,
-                method="DOP853",
-                rtol=rtol,
-                atol=atol,
-                max_step=_segment_step_cap(piece, piece_clearance),
-            )
-            if not sol.success:
-                raise TransportError(f"integrator failed: {sol.message}", piece_clearance)
-            state = sol.y[:, -1]
-    return state.reshape(y0.shape)
+
+def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float) -> np.ndarray:
+    """Drive B column blocks of dY = Omega Y, one along each piece, in one solve.
+
+    pieces holds B (piece, clearance) pairs, each piece parametrized on
+    [0, 1]; starts is the (B, d, c) stack of start blocks, and the stack at
+    t = 1 is returned.  The right-hand side evaluates all B points at once:
+    z = S + tD on lines and C + A e^{i theta(t)} on arcs, then one contraction
+    (B, m) @ (m, d*d) and one batched matmul with the state.
+
+    Step cap: the smallest of the members' caps, 0.5 x (the piece's own
+    clearance from the divisor) / speed, so no member's step can skip a pole.
+
+    Error rule: the local tolerances sit two orders below `tol` for one
+    member and are divided by sqrt(B) for a batch (floors 3e-14 and 1e-14).
+    scipy accepts a step when the RMS of err / scale over all B*d*c entries is
+    at most 1; with scale / sqrt(B) that RMS is the 2-norm of the members' own
+    RMS values, at least the largest of them, so every member keeps the local
+    error bound a solve of its piece alone would accept.  (DOP853 multiplies
+    that RMS by one damping factor <= 1 from its third-order estimate, which
+    a batch takes over all members rather than per member.)
+    """
+    b = len(pieces)
+    if b == 0:
+        return starts
+    origin = np.zeros((b, conn.ambient), dtype=complex)
+    drift = np.zeros_like(origin)
+    amplitude = np.zeros_like(origin)
+    theta0, sweep = np.zeros(b), np.zeros(b)
+    for k, (piece, _) in enumerate(pieces):
+        if isinstance(piece, ArcSegment):
+            origin[k], amplitude[k] = piece.center, piece.amplitude
+            theta0[k], sweep[k] = piece.theta0, piece.theta1 - piece.theta0
+        else:
+            origin[k], drift[k] = piece.start_point, piece.end_point - piece.start_point
+    spin = 1j * sweep[:, None]
+    shape = starts.shape
+
+    def rhs(t, y):
+        turn = amplitude * np.exp(1j * (theta0 + t * sweep))[:, None]
+        omega = conn.contract(origin + t * drift + turn, drift + spin * turn)
+        return np.matmul(omega, y.reshape(shape)).reshape(-1)
+
+    root_b = np.sqrt(b)
+    sol = solve_ivp(
+        rhs,
+        (0.0, 1.0),
+        starts.reshape(-1),
+        method="DOP853",
+        rtol=max(tol * 1e-2 / root_b, 3e-14),
+        atol=max(tol * 1e-3 / root_b, 1e-14),
+        max_step=min(_segment_step_cap(piece, c) for piece, c in pieces),
+    )
+    if not sol.success:
+        raise TransportError(f"integrator failed: {sol.message}", min(c for _, c in pieces))
+    return sol.y[:, -1].reshape(shape)
+
+
+def integrate_along(paths, conn: Connection, y0s, tol: float) -> list[np.ndarray]:
+    """Drive given column blocks of dY = Omega Y along paths, one block per path.
+
+    Omega = `conn.contract(z, v)`; the k-th block starts at y0s[k] (conn.dim
+    rows; all blocks share one shape) and is returned at the end of paths[k]
+    in its start shape.  Round r solves the r-th piece of every path that has
+    one, all in one `_solve`, each from its path's current block.  Segments
+    that pass close to a pole in their interior are cut into pieces graded by
+    clearance (`_graded_pieces`), so their cost grows like log(1/h) in the
+    closest approach h, not like 1/h.
+    """
+    plans = _plan(conn, paths, tol)
+    y0s = [np.asarray(y0, dtype=complex) for y0 in y0s]
+    if len(y0s) != len(plans):
+        raise ValueError(f"{len(plans)} paths but {len(y0s)} start blocks")
+    states = [y0.reshape(conn.dim, -1) for y0 in y0s]
+    for r in range(max(map(len, plans), default=0)):
+        live = [k for k, plan in enumerate(plans) if r < len(plan)]
+        ends = _solve(conn, [plans[k][r] for k in live], np.stack([states[k] for k in live]), tol)
+        for k, end in zip(live, ends):
+            states[k] = end
+    return [state.reshape(y0.shape) for state, y0 in zip(states, y0s)]
+
+
+def transports(conn: Connection, paths, tol: float = 1e-10) -> list[np.ndarray]:
+    """Path-ordered exponentials: F at each path end with F(start) = I.
+
+    Every piece of every path is transported from I in one `_solve`, and each
+    path's F is the product F_P ... F_1 of its pieces' transports."""
+    plans = _plan(conn, paths, tol)
+    eye = np.eye(conn.dim, dtype=complex)
+    flat = [pair for plan in plans for pair in plan]
+    ends = iter(_solve(conn, flat, np.broadcast_to(eye, (len(flat),) + eye.shape), tol))
+    out = []
+    for plan in plans:
+        f = eye
+        for _ in plan:
+            f = next(ends) @ f
+        out.append(f)
+    return out
 
 
 def transport(conn: Connection, path: PiecewisePath, tol: float = 1e-10) -> np.ndarray:
     """Path-ordered exponential: F at the path end with F(start) = I."""
-    return integrate_along(path, conn, np.eye(conn.dim, dtype=complex), tol)
+    return transports(conn, [path], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -404,7 +499,7 @@ def monodromy_representation(conn: Connection, loops,
     for label, p in zip(labels, loops):
         if not p.is_closed:
             raise ValueError(f"{label} is not a closed loop")
-    mats = tuple(transport(conn, p, tol) for p in loops)
+    mats = tuple(transports(conn, loops, tol))
     return MonodromyRepresentation(labels, mats, base)
 
 

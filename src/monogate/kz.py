@@ -17,9 +17,10 @@ of spin-j highest-weight vectors to itself, and as it also commutes with J-
 it acts on every level of the spin-j towers by one mu_j x mu_j matrix F_j:
 F = Q (+)_j (I_{2j+1} (x) F_j) Q^H with Q the unitary tower frame.  One solve
 of the connection restricted to the highest-weight vectors, of dimension
-sum_j mu_j (C(n, floor(n/2)) for spin 1/2), gives every block at once; the
-factor flip commutes with sl2 as well, and the product-basis gate is then
-assembled in closed form.  The frame is computed once per system.
+sum_j mu_j (C(n, floor(n/2)) for spin 1/2), gives every block of every
+generator's half-twist at once (`braid_matrices`); the factor flip commutes
+with sl2 as well, and the product-basis gates are then assembled in closed
+form.  The frame is computed once per system.
 
 For n = 2 the clockwise half-twist with the flip divided out equals
 e^{-pi i O / lambda} in closed form; the orientation-free anchor
@@ -43,7 +44,7 @@ from .fuchsian import (
     NumericsError,
     integrate_along,
     integrability_check,
-    transport,
+    transports,
 )
 from .matrices import as_square_matrix, frobenius, unitarity_defect
 from .paths import PiecewisePath, braid_word_path, pure_braid_word
@@ -56,6 +57,7 @@ __all__ = [
     "two_point_transport_factor",
     "flip_operator",
     "braid_matrix",
+    "braid_matrices",
     "braid_word_matrix",
     "unitarize_kz",
     "total_spin_operators",
@@ -271,31 +273,44 @@ def _from_hw_blocks(sys: KZSystem, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def braid_matrix(sys: KZSystem, i: int, tol: float = 1e-10) -> np.ndarray:
-    """Monodromy gate of the braid generator sigma_i: flip after the
-    counterclockwise half-twist transport.  Requires identical modules.
+def braid_matrices(sys: KZSystem, generators, tol: float = 1e-10) -> list[np.ndarray]:
+    """Monodromy gates of the braid generators sigma_i, i in `generators`:
+    flip after the counterclockwise half-twist transport.  Requires
+    identical modules.
 
-    The transport is one solve of the connection restricted to the
-    highest-weight vectors (`KZSystem._hw_connection`); the flip's
-    highest-weight blocks act after it, and the gate is assembled on the
+    All half-twists are one `transports` call of the connection restricted
+    to the highest-weight vectors (`KZSystem._hw_connection`); the flip's
+    highest-weight blocks act after it, and each gate is assembled on the
     tensor product from the system's cached tower frame."""
     if len({m.spin for m in sys.modules}) != 1:
         raise ValueError("the braid extension needs identical modules V1 = ... = Vn")
-    half = transport(sys._hw_connection, braid_word_path(sys.n, [i]), tol)
+    generators = list(generators)
+    halves = transports(sys._hw_connection, [braid_word_path(sys.n, [i]) for i in generators], tol)
     hw = sys._hw
-    flip = hw.conj().T @ flip_operator(sys.n, sys.modules[0].dim, i) @ hw
-    return _from_hw_blocks(sys, flip @ half)
+    gates = []
+    for i, half in zip(generators, halves):
+        flip = hw.conj().T @ flip_operator(sys.n, sys.modules[0].dim, i) @ hw
+        gates.append(_from_hw_blocks(sys, flip @ half))
+    return gates
 
 
-def _full_twist(sys: KZSystem, gate: np.ndarray, i: int, tol: float) -> np.ndarray:
-    """Transport along `braid_word_path(n, [i, i])`, given the gate
-    `braid_matrix(sys, i, tol)`.  The first arc is that gate's half-twist with
-    the flip undone, so only the second arc is solved, from there, in the
-    highest-weight blocks."""
+def braid_matrix(sys: KZSystem, i: int, tol: float = 1e-10) -> np.ndarray:
+    """Monodromy gate of the braid generator sigma_i (`braid_matrices`)."""
+    return braid_matrices(sys, [i], tol)[0]
+
+
+def _full_twists(sys: KZSystem, gates, tol: float) -> list[np.ndarray]:
+    """Transports along `braid_word_path(n, [i, i])` for i = 1, 2, ..., given
+    the gates `braid_matrices(sys, [1, 2, ...], tol)`.  The first arc is the
+    gate's half-twist with the flip undone, so only the second arcs are
+    solved, from there, in the highest-weight blocks and in one
+    `integrate_along` call."""
     hw = sys._hw
-    first = hw.conj().T @ flip_operator(sys.n, sys.modules[0].dim, i) @ gate @ hw
-    second = PiecewisePath(braid_word_path(sys.n, [i, i]).segments[1:])
-    return _from_hw_blocks(sys, integrate_along(second, sys._hw_connection, first, tol))
+    firsts, seconds = [], []
+    for i, gate in enumerate(gates, start=1):
+        firsts.append(hw.conj().T @ flip_operator(sys.n, sys.modules[0].dim, i) @ gate @ hw)
+        seconds.append(PiecewisePath(braid_word_path(sys.n, [i, i]).segments[1:]))
+    return [_from_hw_blocks(sys, y) for y in integrate_along(seconds, sys._hw_connection, firsts, tol)]
 
 
 def braid_word_matrix(mats, word) -> np.ndarray:
@@ -438,9 +453,9 @@ def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10) -> UnitarizationR
     block diagonal in `_isotypic_towers` order, the positive semidefinite form
     on the original space, the worst unitarity defect, and the radical
     dimension.  The tower frame is the one the system caches, shared with
-    `braid_matrix`."""
+    `braid_matrices`."""
     if mats is None:
-        mats = [braid_matrix(sys, i, tol) for i in range(1, sys.n)]
+        mats = braid_matrices(sys, range(1, sys.n), tol)
     mats = [as_square_matrix(m) for m in mats]
     kept_blocks = []  # per surviving block: its kept gates, one per generator
     forms = []  # per block: its invariant form

@@ -16,7 +16,8 @@ exact log increments).  So
     U_k^j = (M_k^j - F_k(1)|_{U_k = 0}) / (2 pi i),
 
 where F_k(1)|_{U_k = 0} is the jet of the partial family (orders below k,
-with U_k = 0 appended) around gamma_j: one jet solve per order and loop.
+with U_k = 0 appended) around gamma_j: one jet transport per order, all
+loops carried together.
 
 Nothing here has an ODE of its own (Chen, Bull. AMS 83, 1977): every
 iterated integral is a block of the transport of a nilpotent connection over
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import ConfigurationForms, Connection, DifferenceForms, integrate_along, transport
+from .fuchsian import ConfigurationForms, Connection, DifferenceForms, integrate_along, transports
 from .matrices import (
     as_square_matrix,
     complex_from_json,
@@ -74,13 +75,15 @@ NORMALIZATION_TOL = 1e-6
 # Chen iterated integrals as transports of nilpotent connections.
 # ---------------------------------------------------------------------------
 
-def _first_column(forms, blocks: np.ndarray, path: PiecewisePath, tol: float) -> np.ndarray:
-    """Transport of the connection whose coefficient on form j is the block
-    matrix blocks[j] (shape (m, N, d, N, d)), started from [I; 0; ...; 0];
-    returns the N blocks of the first block column, shape (N, d, d)."""
+def _first_columns(forms, blocks: np.ndarray, paths, tol: float) -> list[np.ndarray]:
+    """Transports of the connection whose coefficient on form j is the block
+    matrix blocks[j] (shape (m, N, d, N, d)) along each path, started from
+    [I; 0; ...; 0] and carried by one `integrate_along` call; returns per
+    path the N blocks of the first block column, shape (N, d, d)."""
     m, n, d = blocks.shape[:3]
     conn = Connection(forms, blocks.reshape(m, n * d, n * d))
-    return integrate_along(path, conn, np.eye(n * d, d, dtype=complex), tol).reshape(n, d, d)
+    start = np.eye(n * d, d, dtype=complex)
+    return [y.reshape(n, d, d) for y in integrate_along(paths, conn, [start] * len(paths), tol)]
 
 
 def chen_integral(forms, word, path: PiecewisePath, tol: float = 1e-10) -> complex:
@@ -112,7 +115,7 @@ def matrix_chen_integral(forms, words, path: PiecewisePath, tol: float) -> np.nd
     blocks = np.zeros((m, q + 1, d, q + 1, d), dtype=complex)
     for r, letter in enumerate(words[::-1], start=1):
         blocks[:, r, :, r - 1] = letter
-    return _first_column(forms, blocks, path, tol)[-1]
+    return _first_columns(forms, blocks, [path], tol)[0][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +248,8 @@ def synthesize(targets: RepresentationFamily, forms, loops, order: int,
     `loops` must be the generator loops dual to `forms` (integral of omega_k
     over loop j equal to 2 pi i delta_jk); this is checked in closed form
     (`forms.periods`) before the recursion starts.  Order k >= 2 then costs
-    one jet solve per loop: the last jet of the partial family, with U_k = 0,
-    is the correction.
+    one `jet_monodromy` call over all loops: the last jet of the partial
+    family, with U_k = 0, is each loop's correction.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -269,27 +272,27 @@ def synthesize(targets: RepresentationFamily, forms, loops, order: int,
     series: list[list[np.ndarray]] = [[] for _ in range(targets.generators)]
     for k in range(1, order + 1):
         partial = ConnectionFamily(forms, tuple(tuple(gen) + (zero,) for gen in series))
-        for j in range(targets.generators):
-            correction = jet_monodromy(partial, loops[j], k, tol)[-1] if k > 1 else zero
-            series[j].append((targets.coefficients[j][k - 1] - correction) / TWO_PI_I)
+        jets = jet_monodromy(partial, loops, k, tol) if k > 1 else [[zero]] * targets.generators
+        for j, loop_jets in enumerate(jets):
+            series[j].append((targets.coefficients[j][k - 1] - loop_jets[-1]) / TWO_PI_I)
     return ConnectionFamily(forms, tuple(tuple(gen) for gen in series))
 
 
-def jet_monodromy(family: ConnectionFamily, loop: PiecewisePath, order: int,
-                  tol: float = 1e-10) -> list[np.ndarray]:
-    """Order-by-order monodromy of the family along one loop.
+def jet_monodromy(family: ConnectionFamily, loops, order: int,
+                  tol: float = 1e-10) -> list[list[np.ndarray]]:
+    """Order-by-order monodromy of the family along each loop.
 
     The truncated jet of dF = Omega(lambda) F, F_0 = I and F_r' = sum_{s<=r}
     Omega_s F_{r-s}, is the first block column of the transport of one
     block-Toeplitz connection: Omega_s on the blocks (r, r - s) of an
-    (order + 1)-block matrix.  Returns [F_1(1), ..., F_order(1)].
+    (order + 1)-block matrix.  Returns [F_1(1), ..., F_order(1)] per loop.
     """
     if order > family.order:
         raise ValueError("family is truncated below the requested order")
     shifts = np.array([np.eye(order + 1, k=-s) for s in range(1, order + 1)])
     series = np.array(family.coefficients, dtype=complex)[:, :order]
     blocks = np.einsum("src,jsab->jracb", shifts, series)
-    return list(_first_column(family.forms, blocks, loop, tol)[1:])
+    return [list(column[1:]) for column in _first_columns(family.forms, blocks, list(loops), tol)]
 
 
 @dataclass(frozen=True)
@@ -325,11 +328,8 @@ def verify_match(targets: RepresentationFamily, family: ConnectionFamily, lam: c
             "guaranteed near the identity",
             stacklevel=2,
         )
-    conn = evaluate_at(family, lam)
-    devs = []
-    for j, loop in enumerate(loops):
-        numeric = transport(conn, loop, tol)
-        devs.append(frobenius(numeric - targets.evaluate(j, lam)))
+    numeric = transports(evaluate_at(family, lam), loops, tol)
+    devs = [frobenius(m - targets.evaluate(j, lam)) for j, m in enumerate(numeric)]
     return SynthesisVerification(
         lam=complex(lam),
         order=family.order,

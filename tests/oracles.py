@@ -21,6 +21,9 @@ and slower route, so tests can compare the two:
 * `jimbo_braid_rep`: Jimbo's R-matrix representation of the braid group,
   which by Drinfeld-Kohno has the same braid-word traces as the spin-1/2 KZ
   gates at q = e^{pi i / lambda}, with no transport at all.
+* `sequential_integrate`: the column-block transport of one path with one
+  DOP853 solve per graded piece, each started from the last one's end,
+  against `fuchsian`'s batched solves (`transports`, `integrate_along`).
 * `closure_levels_reference`: the breadth-first projective closure with one
   matmul, one `dedup_key` and one set probe per product, against
   `universality._closure_levels`'s stacked products and keys per frontier
@@ -48,6 +51,7 @@ from functools import reduce
 from itertools import combinations
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from monogate.fuchsian import (
@@ -55,6 +59,9 @@ from monogate.fuchsian import (
     BranchCutError,
     DivisorContactError,
     PointsConnection,
+    TransportError,
+    _graded_pieces,
+    _segment_step_cap,
     residue_log,
     transport,
 )
@@ -357,11 +364,11 @@ def chern_index(rep, branch_start: float = 0.0, residual_tol: float = 1e-6) -> t
 
 def series_residuals(family, targets, loops, tol: float = 1e-10) -> list[list[float]]:
     """Per-order deviations ||F_k(1) - M_k^j||_F of the synthesized family."""
-    out = []
-    for j, loop in enumerate(loops):
-        jets = jet_monodromy(family, loop, family.order, tol)
-        out.append([frobenius(f - m) for f, m in zip(jets, targets.coefficients[j])])
-    return out
+    jets = jet_monodromy(family, loops, family.order, tol)
+    return [
+        [frobenius(f - m) for f, m in zip(loop_jets, targets.coefficients[j])]
+        for j, loop_jets in enumerate(jets)
+    ]
 
 
 def casimir_value(module) -> float:
@@ -405,3 +412,49 @@ def random_traceless_hermitian_unitary(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     x, y, z = v / np.linalg.norm(v)
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]])
+
+
+def sequential_integrate(path, conn, y0, tol: float) -> np.ndarray:
+    """Drive a column block Y of dY = Omega Y along a path, piece by piece.
+
+    Omega = `conn.contract(z, v)`; Y starts at y0 (conn.dim rows, any
+    number of columns) and is returned at the path end in y0's shape.  The
+    local solver tolerance sits two orders below `tol`.  Each piece is one
+    solve whose step is capped at 0.5 x (the piece's own clearance from the
+    divisor) / speed, so no step can skip a pole.  Segments that pass close
+    to a pole in their interior are cut into pieces graded by clearance
+    (`_graded_pieces`), so their cost grows like log(1/h) in the closest
+    approach h, not like 1/h.
+    """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if path.dimension != conn.ambient:
+        raise ValueError(f"path in C^{path.dimension} vs connection on C^{conn.ambient}")
+    rtol = max(tol * 1e-2, 3e-14)
+    atol = max(tol * 1e-3, 1e-14)
+    d = conn.dim
+    y0 = np.asarray(y0, dtype=complex)
+    state = y0.reshape(-1)
+    for seg in path.segments:
+        clearance = conn.divisor.segment_distance(seg)
+        if clearance <= MIN_CLEARANCE:
+            raise DivisorContactError(clearance)
+        if seg.max_speed() == 0.0:
+            continue
+        for piece, piece_clearance in _graded_pieces(seg, clearance, conn.divisor):
+            def rhs(t, y):
+                return (conn.contract(piece.at(t), piece.velocity(t)) @ y.reshape(d, -1)).reshape(-1)
+
+            sol = solve_ivp(
+                rhs,
+                (0.0, 1.0),
+                state,
+                method="DOP853",
+                rtol=rtol,
+                atol=atol,
+                max_step=_segment_step_cap(piece, piece_clearance),
+            )
+            if not sol.success:
+                raise TransportError(f"integrator failed: {sol.message}", piece_clearance)
+            state = sol.y[:, -1]
+    return state.reshape(y0.shape)

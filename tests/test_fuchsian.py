@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,7 +24,9 @@ from monogate.fuchsian import (
 )
 from monogate.gate_core import SIGMA_X, SIGMA_Z
 from monogate.matrices import frobenius, random_hermitian
-from monogate import fuchsian
+from monogate import cli, fuchsian
+from monogate.kz import SpinModule, build_kz
+from monogate.lappo_danilevski import ConnectionFamily, jet_monodromy
 from monogate.paths import (
     ArcSegment,
     LineSegment,
@@ -30,9 +34,17 @@ from monogate.paths import (
     PointsDivisor,
     braid_word_path,
     generator_loop,
+    loops_to_json,
 )
 from monogate.universality import haar_su2_samples
-from oracles import as_points_connection, chern_index, curvature_residual, invert, min_divisor_distance
+from oracles import (
+    as_points_connection,
+    chern_index,
+    curvature_residual,
+    invert,
+    min_divisor_distance,
+    sequential_integrate,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -140,7 +152,9 @@ def test_integrate_along_needs_finite_positive_tol(unit_loop, tol, monkeypatch):
     monkeypatch.setattr(fuchsian, "solve_ivp", no_solve)
     conn = PointsConnection((0.0,), (np.eye(2),))
     with pytest.raises(ValueError, match="tol"):
-        fuchsian.integrate_along(unit_loop, conn, np.eye(2), tol)
+        fuchsian.integrate_along([unit_loop], conn, [np.eye(2)], tol)
+    with pytest.raises(ValueError, match="tol"):
+        fuchsian.transports(conn, [unit_loop], tol)
 
 
 def test_integrate_along_transports_a_column_block():
@@ -154,7 +168,7 @@ def test_integrate_along_transports_a_column_block():
     ]
     for conn, path in cases:
         y0 = rng.standard_normal((conn.dim, 2)) + 1j * rng.standard_normal((conn.dim, 2))
-        got = fuchsian.integrate_along(path, conn, y0, 1e-11)
+        (got,) = fuchsian.integrate_along([path], conn, [y0], 1e-11)
         assert got.shape == y0.shape
         assert frobenius(got - transport(conn, path, 1e-11) @ y0) < 1e-9
 
@@ -211,21 +225,26 @@ def test_near_pole_cost_grows_like_log(monkeypatch):
 
 
 def test_uniform_clearance_segments_are_single_solves(monkeypatch):
-    solves = []
+    # a d = 1 solve's state holds one entry per piece
+    pieces = []
     solve_ivp = fuchsian.solve_ivp
 
-    def counted(*args, **kwargs):
-        solves.append(None)
-        return solve_ivp(*args, **kwargs)
+    def counted(fun, t_span, y0, **kwargs):
+        pieces.append(len(y0))
+        return solve_ivp(fun, t_span, y0, **kwargs)
 
     monkeypatch.setattr(fuchsian, "solve_ivp", counted)
     conn = PointsConnection((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
-    for loop in x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25):
-        transport(conn, loop, 1e-10)
-    assert len(solves) == 6
-    solves.clear()
+    # the six uniform-clearance segments of both standard loops are whole
+    # pieces, and all of them share one batched solve
+    monodromy_representation(conn, x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25), 1e-10)
+    assert pieces == [6]
+    pieces.clear()
+    # the near-pole line is graded into a bounded number of pieces, still
+    # one solve
     transport(conn, near_pole_loop(1e-6), 1e-10)
-    assert 3 < len(solves) < 200
+    assert len(pieces) == 1
+    assert 3 < pieces[0] < 200
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -520,3 +539,135 @@ def test_form_systems_build_their_divisor_once():
     assert forms.divisor.points == (0.0, 1.0, 2.0)
     config = ConfigurationForms(4)
     assert config.divisor is config.divisor and config.divisor.n == 4
+
+
+# ---------------------------------------------------------------------------
+# Batched solves: every piece of every path in one DOP853 run.
+# ---------------------------------------------------------------------------
+
+def sum_free_connection(rng, d):
+    """Four poles near 0, 1, 2, 3 with random residues summing to zero."""
+    poles = np.arange(4.0) + rng.uniform(-0.05, 0.05, 4)
+    res = [0.3 * g / np.linalg.norm(g) for g in
+           (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3))]
+    return PointsConnection(poles, (*res, -sum(res)), regular_at_infinity=True)
+
+
+def standard_loops(conn):
+    poles = conn.forms.points
+    return x4_generator_loops(poles, np.mean(poles).real - 1.5j, 0.25)
+
+
+def random_block(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4))
+def test_batched_transport_matches_the_per_piece_solves_on_standard_loops(seed, d):
+    rng = np.random.default_rng(seed)
+    conn = sum_free_connection(rng, d)
+    loops = standard_loops(conn)
+    eye = np.eye(d, dtype=complex)
+    for got, loop in zip(fuchsian.transports(conn, loops, 1e-10), loops):
+        assert frobenius(got - sequential_integrate(loop, conn, eye, 1e-10)) <= 1e-9
+    y0 = random_block(rng, d, 2)
+    for got, loop in zip(fuchsian.integrate_along(loops, conn, [y0] * len(loops), 1e-10), loops):
+        assert frobenius(got - sequential_integrate(loop, conn, y0, 1e-10)) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), log_h=st.floats(-6.0, -1.0))
+def test_batched_transport_matches_the_per_piece_solves_near_a_pole(seed, d, log_h):
+    # the near-pole loop shares its batch with two far loops, so the
+    # smallest step cap and the 1 / sqrt(B) tolerances act on all of them
+    rng = np.random.default_rng(seed)
+    conn = PointsConnection((0.0, 1.0), [0.3 * g / np.linalg.norm(g) for g in
+                                          (random_block(rng, d, d) for _ in range(2))])
+    paths = [near_pole_loop(10.0 ** log_h), *x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25)]
+    eye = np.eye(d, dtype=complex)
+    for got, path in zip(fuchsian.transports(conn, paths, 1e-10), paths):
+        assert frobenius(got - sequential_integrate(path, conn, eye, 1e-10)) <= 1e-9
+    y0 = random_block(rng, d, 1)
+    for got, path in zip(fuchsian.integrate_along(paths, conn, [y0] * 3, 1e-10), paths):
+        assert frobenius(got - sequential_integrate(path, conn, y0, 1e-10)) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(n=st.integers(3, 5), lam=st.floats(4.5, 9.5))
+def test_batched_half_twists_match_the_per_piece_solves(n, lam):
+    conn = build_kz([SpinModule(0.5)] * n, lam)._hw_connection
+    twists = [braid_word_path(n, [i]) for i in range(1, n)]
+    eye = np.eye(conn.dim, dtype=complex)
+    for got, path in zip(fuchsian.transports(conn, twists, 1e-10), twists):
+        assert frobenius(got - sequential_integrate(path, conn, eye, 1e-10)) <= 1e-9
+    full = [braid_word_path(n, [i, i]) for i in range(1, n)]
+    for got, path in zip(fuchsian.integrate_along(full, conn, [eye] * len(full), 1e-10), full):
+        assert frobenius(got - sequential_integrate(path, conn, eye, 1e-10)) <= 1e-9
+
+
+def record_solves(monkeypatch):
+    """(state size, rtol, atol, max_step) of every solve `fuchsian` makes."""
+    calls = []
+    solve_ivp = fuchsian.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        calls.append((len(y0), kwargs["rtol"], kwargs["atol"], kwargs["max_step"]))
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", recording)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
+def test_batch_tolerances_scale_with_one_over_root_batch(monkeypatch, tol):
+    calls = record_solves(monkeypatch)
+    conn = sum_free_connection(np.random.default_rng(5), 2)
+    loops = standard_loops(conn)
+    circle = PiecewisePath(loops[0].segments[1:2])
+    fuchsian.transports(conn, [circle], tol)
+    fuchsian.transports(conn, loops, tol)
+    fuchsian.transports(conn, loops[:1], tol)
+    for (size, rtol, atol, _), batch in zip(calls, (1, 12, 3)):
+        assert size == batch * 4
+        assert rtol == max(tol * 1e-2 / np.sqrt(batch), 3e-14)
+        assert atol == max(tol * 1e-3 / np.sqrt(batch), 1e-14)
+
+
+def test_batch_step_cap_is_the_smallest_member_cap(monkeypatch):
+    calls = record_solves(monkeypatch)
+    conn = PointsConnection((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
+    near = near_pole_loop(1e-3)
+    far = x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25)
+    fuchsian.transports(conn, far, 1e-10)
+    fuchsian.transports(conn, [near], 1e-10)
+    fuchsian.transports(conn, [near, *far], 1e-10)
+    assert calls[2][3] == min(calls[0][3], calls[1][3])
+
+
+def test_monodromy_command_is_one_solve_of_twelve_pieces(tmp_path, monkeypatch, capsys):
+    calls = record_solves(monkeypatch)
+    for d in (1, 3):
+        conn = sum_free_connection(np.random.default_rng(d), d)
+        (tmp_path / "conn.json").write_text(json.dumps(connection_to_json(conn)))
+        (tmp_path / "loops.json").write_text(json.dumps(loops_to_json(standard_loops(conn))))
+        calls.clear()
+        assert cli.main(["fuchsian", "monodromy", "--conn", str(tmp_path / "conn.json"),
+                         "--loops", str(tmp_path / "loops.json")]) == 0
+        capsys.readouterr()
+        assert [size for size, *_ in calls] == [12 * d * d]
+
+
+@pytest.mark.parametrize("m, order, d", [(2, 3, 2), (3, 4, 1)])
+def test_jet_blocks_are_not_widened(monkeypatch, m, order, d):
+    # a jet transport carries the thin (K + 1) d x d first block column of
+    # every loop, never the (K + 1) d square propagator
+    calls = record_solves(monkeypatch)
+    rng = np.random.default_rng(m)
+    forms = DifferenceForms(tuple(float(k) for k in range(m)))
+    loops = x4_generator_loops(forms.points, (m - 1) / 2 - 1.5j, 0.3)
+    fam = ConnectionFamily(forms, tuple(tuple(random_hermitian(d, rng, 0.3) for _ in range(order))
+                                        for _ in range(m)))
+    jets = jet_monodromy(fam, loops, order, 1e-10)
+    assert [len(j) for j in jets] == [order] * m
+    assert [size for size, *_ in calls] == [m * (order + 1) * d * d] * 3

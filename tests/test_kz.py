@@ -307,15 +307,18 @@ def test_braid_matrix_matches_the_full_space_transport(spin, n, lam):
 
 
 def test_full_twist_from_the_gate_matches_the_full_space_transport(sys3, braid3):
-    for i, b in enumerate(braid3, start=1):
+    twists = kz._full_twists(sys3, braid3, 1e-11)
+    assert len(twists) == 2
+    for i, twist in enumerate(twists, start=1):
         full = transport(sys3.connection(), braid_word_path(3, [i, i]), 1e-11)
-        assert frobenius(kz._full_twist(sys3, b, i, 1e-11) - full) < 1e-9
+        assert frobenius(twist - full) < 1e-9
 
 
 def test_braid_gates_are_solved_in_the_multiplicity_space(monkeypatch, capsys):
-    # the half-twist is one solve of a sum_j mu_j = C(n, n/2) square state,
-    # not of a 2^n square one; kz verify solves each generator's arc and the
-    # second arc of its full twist, 2 (n - 1) solves in all
+    # a half-twist is solved on a sum_j mu_j = C(n, n/2) square state, not
+    # on a 2^n square one, and the n - 1 generators share one solve of
+    # (n - 1) mu^2 entries; kz verify adds one solve for the second arcs of
+    # all n - 1 full twists, 2 solves in all
     sizes = []
     solve = fuchsian.solve_ivp
 
@@ -328,10 +331,13 @@ def test_braid_gates_are_solved_in_the_multiplicity_space(monkeypatch, capsys):
         sizes.clear()
         braid_matrix(build_kz([HALF] * n, 7.5), 1)
         assert sizes == [mu * mu]
+        sizes.clear()
+        kz.braid_matrices(build_kz([HALF] * n, 7.5), range(1, n))
+        assert sizes == [(n - 1) * mu * mu]
     sizes.clear()
     assert cli.main(["kz", "verify", "--n", "6", "--lambda", "7.5"]) == 0
     capsys.readouterr()
-    assert sizes == [20 * 20] * 10
+    assert sizes == [5 * 20 * 20] * 2
 
 
 def test_the_tower_frame_is_computed_once_per_system(monkeypatch):

@@ -176,7 +176,7 @@ def test_matrix_chen_matches_scalar_expansion(line_forms):
 
 def test_every_solve_goes_through_the_one_right_hand_side(monkeypatch, line_forms, line_loops):
     # transport, Chen integrals, jets, synthesis and braid gates are all
-    # transports of a connection by `integrate_along`
+    # batched transports of a connection by `fuchsian._solve`
     names = set()
     solve_ivp = fuchsian.solve_ivp
 
@@ -193,11 +193,10 @@ def test_every_solve_goes_through_the_one_right_hand_side(monkeypatch, line_form
     transport(evaluate_at(fam, 0.05), loop, 1e-8)
     chen_integral(line_forms, [0, 1], loop, 1e-8)
     matrix_chen_integral(line_forms, [np.array(coeffs)[:, 0]] * 2, loop, 1e-8)
-    jet_monodromy(fam, loop, 2, 1e-8)
+    jet_monodromy(fam, [loop], 2, 1e-8)
     verify_match(targets, synthesize(targets, line_forms, line_loops, 2, 1e-8), 0.05, line_loops, 1e-8)
     kz.braid_matrix(kz.build_kz([kz.SpinModule(0.5)] * 3, 4.0), 1, 1e-8)
-    assert len(names) == 1, names
-    assert names.pop().startswith("integrate_along.<locals>.")
+    assert names == {"_solve.<locals>.rhs"}
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +345,22 @@ def test_synthesize_matches_composition_sum(case):
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
-def test_synthesis_cost_is_linear_in_order(order, line_forms, line_loops, solve_count):
+def test_synthesis_cost_is_linear_in_order(order, solve_count):
     # 3 segments per loop: the loop normalization is checked in closed form,
-    # and each order k >= 2 takes one jet solve per loop, 3m(K - 1) solves;
-    # m = 2 gives 6(K - 1)
-    rng = np.random.default_rng(71)
-    targets = RepresentationFamily.exponential_targets(
-        [small_hermitian(rng), small_hermitian(rng)], order
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        synthesize(targets, line_forms, line_loops, order, tol=1e-10)
-    assert len(solve_count) == 6 * (order - 1)
+    # and each order k >= 2 carries the jets of all m loops together, one
+    # solve per segment, 3(K - 1) solves whatever m is
+    for m in (2, 3):
+        punctures = [float(k) for k in range(m)]
+        loops = puncture_loops(punctures, (m - 1) / 2 - 1.5j, 0.3)
+        rng = np.random.default_rng(71)
+        targets = RepresentationFamily.exponential_targets(
+            [small_hermitian(rng) for _ in range(m)], order
+        )
+        solve_count.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            synthesize(targets, DifferenceForms(tuple(punctures)), loops, order, tol=1e-10)
+        assert len(solve_count) == 3 * (order - 1), m
 
 
 def test_loop_normalization_verified(line_forms):
@@ -498,7 +501,7 @@ def test_jet_monodromy_matches_compositions(line_forms, line_loops):
         tuple(small_hermitian(rng, 0.4) for _ in range(3)) for _ in range(2)
     )
     fam = ConnectionFamily(line_forms, coeffs)
-    jets = jet_monodromy(fam, line_loops[0], 3, tol=1e-11)
+    (jets,) = jet_monodromy(fam, [line_loops[0]], 3, tol=1e-11)
     u1 = [gen[0] for gen in coeffs]
     first = sum(
         chen_integral(line_forms, [j], line_loops[0], 1e-11) * u1[j] for j in range(2)
@@ -512,14 +515,14 @@ def test_jet_connection_is_built_on_the_family_forms(monkeypatch, line_forms, li
     seen = []
     integrate_along = lappo_danilevski.integrate_along
 
-    def capturing(path, conn, y0, tol):
+    def capturing(paths, conn, y0s, tol):
         seen.append(conn)
-        return integrate_along(path, conn, y0, tol)
+        return integrate_along(paths, conn, y0s, tol)
 
     monkeypatch.setattr(lappo_danilevski, "integrate_along", capturing)
     rng = np.random.default_rng(32)
     fam = ConnectionFamily(line_forms, tuple(tuple(small_hermitian(rng) for _ in range(2)) for _ in range(2)))
-    jet_monodromy(fam, line_loops[0], 2, 1e-8)
+    jet_monodromy(fam, line_loops, 2, 1e-8)
     assert len(seen) == 1
     assert seen[0].forms is fam.forms
     assert evaluate_at(fam, 0.05).forms is fam.forms
