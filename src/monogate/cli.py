@@ -226,18 +226,14 @@ def _cmd_synth(args) -> int:
     return status
 
 
-def _build_kz(args) -> tuple[kz.KZSystem, list[np.ndarray]]:
-    modules = [kz.SpinModule(args.spin) for _ in range(args.n)]
-    sys_ = kz.build_kz(modules, args.lam)
-    mats = kz.braid_matrices(sys_, range(1, args.n), tol=args.tol)
-    return sys_, mats
-
-
 def _cmd_kz(args) -> int:
-    sys_, mats = _build_kz(args)
+    sys_ = kz.build_kz([kz.SpinModule(args.spin) for _ in range(args.n)], args.lam)
     if args.kz_command == "braid":
-        res = kz.unitarize_kz(sys_, mats, tol=args.tol) if args.unitarize else None
-        out_mats = mats if res is None else res.matrices
+        if args.unitarize:
+            res = kz.unitarize_kz(sys_, tol=args.tol)
+            out_mats = res.matrices
+        else:
+            res, out_mats = None, kz.braid_matrices(sys_, range(1, args.n), tol=args.tol)
         report = {
             "command": "kz braid",
             "config": _config(args),
@@ -251,10 +247,12 @@ def _cmd_kz(args) -> int:
         _emit(report, args)
         return EXIT_OK
     # kz verify
-    relations = kz.verify_braid_relations(mats, args.n, tol=args.relation_tol)
-    fulls = kz._full_twists(sys_, mats, args.tol)
+    blocks = kz._gate_blocks(sys_, range(1, args.n), args.tol)
+    mats = [kz._from_hw_blocks(sys_, b) for b in blocks]
+    relations = kz.verify_braid_relations(mats, args.n)
+    fulls = kz._full_twists(sys_, blocks, args.tol)
     twist_devs = [float(np.linalg.norm(b @ b - full)) for b, full in zip(mats, fulls)]
-    res = kz.unitarize_kz(sys_, mats, tol=args.tol)
+    res = kz.unitarize_kz(sys_, mats)
     report = {
         "command": "kz verify",
         "config": _config(args),

@@ -4,23 +4,26 @@ Two-site coupling operators come from the Casimir element: with an orthogonal
 sl2 basis {I_a} normalized so that the spin-1/2 pair operator is exactly
 P - I/2 (P the swap), the coupling is O = sum_a I_a (x) I_a, realized on spin
 modules as twice the dot product of spin operator triples.  O_ij is that
-two-site operator placed on tensor factors i and j by one axis transpose, and
-the factor flip is the identity with two axes swapped.  The connection
-(1/lambda) sum O_ij d log(z_i - z_j) is flat, and transporting along a braid
-half-twist followed by the factor flip yields quantum gates on V^{(x) n}.
-The product basis is a weight basis, so the isotypic decomposition under the
-global sl2 action is read off it directly.
+two-site operator placed on tensor factors i and j by one axis transpose.
+The connection (1/lambda) sum O_ij d log(z_i - z_j) is flat, and transporting
+along a braid half-twist followed by the flip of factors i and i+1 yields
+quantum gates on V^{(x) n}.  The product basis is a weight basis, so the
+isotypic decomposition under the global sl2 action is read off it directly.
 
-Braid gates are transported in the highest-weight multiplicity spaces.  Every
+Braid gates are made once, as blocks on the highest-weight vectors.  Every
 O_ij commutes with the diagonal sl2 action, so the transport F maps the space
 of spin-j highest-weight vectors to itself, and as it also commutes with J-
 it acts on every level of the spin-j towers by one mu_j x mu_j matrix F_j:
 F = Q (+)_j (I_{2j+1} (x) F_j) Q^H with Q the unitary tower frame.  One solve
 of the connection restricted to the highest-weight vectors, of dimension
 sum_j mu_j (C(n, floor(n/2)) for spin 1/2), gives every block of every
-generator's half-twist at once (`braid_matrices`); the factor flip commutes
-with sl2 as well, and the product-basis gates are then assembled in closed
-form.  The frame is computed once per system.
+generator's half-twist at once (`_gate_blocks`).  The factor flip commutes
+with sl2 as well; its blocks are the highest-weight vectors with two tensor
+axes swapped, so no operator on the tensor product is formed.  The
+unitarization and the full twists of `kz verify` work on these blocks, and a
+product-basis gate is assembled in closed form only where a caller asks for
+one (`braid_matrices`).  The frame and the flip blocks are computed once per
+system.
 
 For n = 2 the clockwise half-twist with the flip divided out equals
 e^{-pi i O / lambda} in closed form; the orientation-free anchor
@@ -55,7 +58,6 @@ __all__ = [
     "casimir_omega",
     "build_kz",
     "two_point_transport_factor",
-    "flip_operator",
     "braid_matrix",
     "braid_matrices",
     "braid_word_matrix",
@@ -193,6 +195,15 @@ class KZSystem:
         hw = self._hw
         return Connection(forms, [hw.conj().T @ self.omegas[pair] @ hw / self.lam for pair in forms.pairs])
 
+    @cached_property
+    def _flips(self) -> list:
+        """hw^H P_i hw for i = 1, ..., n-1, P_i the flip of tensor factors i
+        and i+1: the hw columns with tensor axes i-1 and i swapped, projected
+        back.  Needs identical modules."""
+        hw = self._hw
+        cols = hw.reshape((self.modules[0].dim,) * self.n + (-1,))
+        return [hw.conj().T @ cols.swapaxes(i - 1, i).reshape(hw.shape) for i in range(1, self.n)]
+
 
 def build_kz(modules, lam: complex) -> KZSystem:
     """Assemble the KZ system; verifies sl2 relations and flatness, the latter
@@ -249,13 +260,13 @@ def two_point_transport_factor(omega, lam: complex, path: PiecewisePath) -> np.n
 # Braid-group gates.
 # ---------------------------------------------------------------------------
 
-def flip_operator(n: int, d: int, i: int) -> np.ndarray:
-    """Permutation operator exchanging tensor factors i and i+1 (1-based):
-    the identity on (C^d)^{(x) n} with its output axes i-1 and i swapped."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"factor index {i} out of range for n={n}")
-    eye = np.eye(d**n, dtype=complex).reshape((d,) * (2 * n))
-    return eye.swapaxes(i - 1, i).reshape(d**n, d**n)
+def _spin_blocks(sys: KZSystem):
+    """(towers, slice of the spin's mu_j rows in sum_j mu_j) in tower order."""
+    start = 0
+    for _, towers in sys._towers:
+        mu = towers[0].shape[1]
+        yield towers, slice(start, start + mu)
+        start += mu
 
 
 def _from_hw_blocks(sys: KZSystem, blocks: np.ndarray) -> np.ndarray:
@@ -263,35 +274,32 @@ def _from_hw_blocks(sys: KZSystem, blocks: np.ndarray) -> np.ndarray:
     commuting with sl2 that acts on every level of the spin-j towers by the
     diagonal block B_j of the sum_j mu_j square `blocks`."""
     out = np.zeros((sys.dim, sys.dim), dtype=complex)
-    start = 0
-    for _, towers in sys._towers:
-        mu = towers[0].shape[1]
-        b = blocks[start : start + mu, start : start + mu]
+    for towers, rows in _spin_blocks(sys):
+        b = blocks[rows, rows]
         for w in towers:
             out += w @ b @ w.conj().T
-        start += mu
     return out
 
 
-def braid_matrices(sys: KZSystem, generators, tol: float = 1e-10) -> list[np.ndarray]:
-    """Monodromy gates of the braid generators sigma_i, i in `generators`:
-    flip after the counterclockwise half-twist transport.  Requires
-    identical modules.
-
-    All half-twists are one `transports` call of the connection restricted
-    to the highest-weight vectors (`KZSystem._hw_connection`); the flip's
-    highest-weight blocks act after it, and each gate is assembled on the
-    tensor product from the system's cached tower frame."""
+def _gate_blocks(sys: KZSystem, generators, tol: float) -> list[np.ndarray]:
+    """The gates of sigma_i, i in `generators`, on the highest-weight
+    vectors: the flip block after the counterclockwise half-twist.  Requires
+    identical modules.  All half-twists are one `transports` call of the
+    connection restricted to the highest-weight vectors."""
     if len({m.spin for m in sys.modules}) != 1:
         raise ValueError("the braid extension needs identical modules V1 = ... = Vn")
     generators = list(generators)
+    for i in generators:
+        if not 1 <= i <= sys.n - 1:
+            raise ValueError(f"factor index {i} out of range for n={sys.n}")
     halves = transports(sys._hw_connection, [braid_word_path(sys.n, [i]) for i in generators], tol)
-    hw = sys._hw
-    gates = []
-    for i, half in zip(generators, halves):
-        flip = hw.conj().T @ flip_operator(sys.n, sys.modules[0].dim, i) @ hw
-        gates.append(_from_hw_blocks(sys, flip @ half))
-    return gates
+    return [sys._flips[i - 1] @ half for i, half in zip(generators, halves)]
+
+
+def braid_matrices(sys: KZSystem, generators, tol: float = 1e-10) -> list[np.ndarray]:
+    """Monodromy gates of the braid generators sigma_i, i in `generators`, on
+    the tensor product: the `_gate_blocks` assembled in the tower frame."""
+    return [_from_hw_blocks(sys, b) for b in _gate_blocks(sys, generators, tol)]
 
 
 def braid_matrix(sys: KZSystem, i: int, tol: float = 1e-10) -> np.ndarray:
@@ -299,16 +307,14 @@ def braid_matrix(sys: KZSystem, i: int, tol: float = 1e-10) -> np.ndarray:
     return braid_matrices(sys, [i], tol)[0]
 
 
-def _full_twists(sys: KZSystem, gates, tol: float) -> list[np.ndarray]:
+def _full_twists(sys: KZSystem, blocks, tol: float) -> list[np.ndarray]:
     """Transports along `braid_word_path(n, [i, i])` for i = 1, 2, ..., given
-    the gates `braid_matrices(sys, [1, 2, ...], tol)`.  The first arc is the
-    gate's half-twist with the flip undone, so only the second arcs are
-    solved, from there, in the highest-weight blocks and in one
-    `integrate_along` call."""
-    hw = sys._hw
+    the gate blocks `_gate_blocks(sys, [1, 2, ...], tol)`.  The first arc is
+    the half-twist, the flip block times the gate block, so only the second
+    arcs are solved, from there, in one `integrate_along` call."""
     firsts, seconds = [], []
-    for i, gate in enumerate(gates, start=1):
-        firsts.append(hw.conj().T @ flip_operator(sys.n, sys.modules[0].dim, i) @ gate @ hw)
+    for i, b in enumerate(blocks, start=1):
+        firsts.append(sys._flips[i - 1] @ b)
         seconds.append(PiecewisePath(braid_word_path(sys.n, [i, i]).segments[1:]))
     return [_from_hw_blocks(sys, y) for y in integrate_along(seconds, sys._hw_connection, firsts, tol)]
 
@@ -347,47 +353,33 @@ class UnitarizationResult:
     radical_dim: int = 0
 
 
-def _hermitian_kernel_basis(mats) -> list[np.ndarray]:
-    """Orthonormal basis of the Hermitian solutions of B† H B = H for all B."""
-    dim = mats[0].shape[0]
-    blocks = [np.kron(b.T, b.conj().T) - np.eye(dim * dim) for b in mats]
-    _, s, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
-    null_count = int(np.sum(s <= max(s[0], 1.0) * 1e-10))
-    if null_count == 0:
-        raise ValueError("no invariant sesquilinear form exists within tolerance")
-    candidates = []
-    for row in vh[-null_count:]:
-        a = row.reshape(dim, dim, order="F")
-        candidates.append((a + a.conj().T) / 2.0)
-        candidates.append((a - a.conj().T) / 2j)
-    # the kernel is conjugation-stable, so Hermitian parts span its Hermitian
-    # slice; a real SVD of their real and imaginary parts keeps the basis Hermitian
-    stacked = np.stack([c.reshape(-1) for c in candidates]).view(float)
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
-    keep = sv > max(sv[0], 1.0) * 1e-10
-    return [vh[k].view(complex).reshape(dim, dim) for k in range(len(sv)) if keep[k]]
-
-
 def _unitarize_block(mats):
     """Unitarize one multiplicity block: returns (form, kept matrices, radical).
 
     A multiplicity block carries one invariant Hermitian form up to scale
-    (Schur's lemma); more than one raises `NumericsError`.  The form is
-    signed and scaled so that its eigenvalue of largest magnitude is 1, and
-    the block is quotiented by the eigenvectors with eigenvalue <= RANK_CUT.
-    A block whose form is indefinite, or which has no invariant form, dies
-    whole (kept matrices None, radical = block size, zero form).
+    (Schur's lemma).  The solutions of B^H H B = H for all B are the null
+    space of one stacked SVD; it is closed under H -> H^H, so its complex
+    dimension is the number of independent Hermitian forms, and more than
+    one raises `NumericsError`.  With exactly one, the null vector is a
+    complex multiple of the form, and the larger of its Hermitian part and
+    its anti-Hermitian part over i is the form.  The form is signed and
+    scaled so that its eigenvalue of largest magnitude is 1, and the block
+    is quotiented by the eigenvectors with eigenvalue <= RANK_CUT.  A block
+    whose form is indefinite, or which has no invariant form, dies whole
+    (kept matrices None, radical = block size, zero form).
     """
     mu = mats[0].shape[0]
-    try:
-        basis = _hermitian_kernel_basis(mats)
-    except ValueError:
-        return np.zeros((mu, mu), dtype=complex), None, mu
-    if len(basis) != 1:
+    stacked = np.vstack([np.kron(b.T, b.conj().T) - np.eye(mu * mu) for b in mats])
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    null_count = int(np.sum(s <= max(s[0], 1.0) * 1e-10))
+    if null_count > 1:
         raise NumericsError(
-            f"a {mu}-dimensional block has {len(basis)} invariant Hermitian forms, not one"
+            f"a {mu}-dimensional block has {null_count} invariant Hermitian forms, not one"
         )
-    h = basis[0]
+    if null_count == 0:
+        return np.zeros((mu, mu), dtype=complex), None, mu
+    a = vh[-1].reshape(mu, mu, order="F")
+    h = max((a + a.conj().T) / 2.0, (a - a.conj().T) / 2j, key=frobenius)
     evals = np.linalg.eigvalsh(h)
     h = h / evals[np.argmax(np.abs(evals))]
     evals, vecs = np.linalg.eigh(h)
@@ -442,28 +434,29 @@ def _isotypic_towers(sys: KZSystem):
 def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10) -> UnitarizationResult:
     """Unitarizability witness for KZ braid gates: unitarize blockwise.
 
-    The braid matrices commute with the global sl2 action, so they split into
+    The braid gates commute with the global sl2 action, so they split into
     multiplicity blocks over the isotypic components.  Each block carries a
-    unique invariant Hermitian form up to scale (Schur's lemma), found as the
-    one-dimensional Hermitian kernel of B† H B = H; no optimization is
+    unique invariant Hermitian form up to scale (Schur's lemma), read off
+    one null vector of B^H H B = H (`_unitarize_block`); no optimization is
     involved, and a block with more than one form raises `NumericsError`.
     A block whose form is indefinite dies whole; one whose form degenerates
     (integer levels, e.g. lambda = 3 for spin 1/2 where null vectors appear)
-    is quotiented by the form's radical.  Returns the assembled quotient rep,
+    is quotiented by the form's radical.  The gates are the `_gate_blocks` of
+    sigma_1, ..., sigma_{n-1}, solved at `tol`, or, given product-basis
+    `mats`, their projections hw^H M hw.  Returns the assembled quotient rep,
     block diagonal in `_isotypic_towers` order, the positive semidefinite form
     on the original space, the worst unitarity defect, and the radical
-    dimension.  The tower frame is the one the system caches, shared with
-    `braid_matrices`."""
+    dimension."""
     if mats is None:
-        mats = braid_matrices(sys, range(1, sys.n), tol)
-    mats = [as_square_matrix(m) for m in mats]
+        blocks = _gate_blocks(sys, range(1, sys.n), tol)
+    else:
+        hw = sys._hw
+        blocks = [hw.conj().T @ as_square_matrix(m) @ hw for m in mats]
     kept_blocks = []  # per surviving block: its kept gates, one per generator
     forms = []  # per block: its invariant form
     radical_total = 0
-    for j, towers in sys._towers:
-        hw = towers[0]
-        blocks = [hw.conj().T @ b @ hw for b in mats]
-        h_block, kept, radical = _unitarize_block(blocks)
+    for towers, rows in _spin_blocks(sys):
+        h_block, kept, radical = _unitarize_block([b[rows, rows] for b in blocks])
         radical_total += radical * len(towers)
         forms.append(h_block)
         if kept is not None:
@@ -496,16 +489,8 @@ class BraidRelationReport:
     def max_deviation(self) -> float:
         return max(self.max_braid_deviation, self.max_commutation_deviation)
 
-    def as_dict(self) -> dict:
-        return {
-            "braid_deviations": list(self.braid_deviations),
-            "commutation_deviations": list(self.commutation_deviations),
-            "pure_braid_unitarity": list(self.pure_braid_unitarity),
-            "max_deviation": self.max_deviation,
-        }
 
-
-def verify_braid_relations(mats, n: int, tol: float = 1e-6) -> BraidRelationReport:
+def verify_braid_relations(mats, n: int) -> BraidRelationReport:
     """Check sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1} and
     far commutation on candidate generator matrices; also report how far the
     induced pure-braid matrices tau_ij are from unitary."""

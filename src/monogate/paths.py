@@ -99,9 +99,6 @@ class LineSegment:
     def at(self, t: float) -> np.ndarray:
         return self.start_point + t * (self.end_point - self.start_point)
 
-    def velocity(self, t: float) -> np.ndarray:
-        return self.end_point - self.start_point
-
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.end_point - self.start_point))
 
@@ -166,10 +163,6 @@ class ArcSegment:
 
     def at(self, t: float) -> np.ndarray:
         return self.center + self.amplitude * np.exp(1j * self._theta(t))
-
-    def velocity(self, t: float) -> np.ndarray:
-        dtheta = self.theta1 - self.theta0
-        return 1j * dtheta * self.amplitude * np.exp(1j * self._theta(t))
 
     def max_speed(self) -> float:
         return float(abs(self.theta1 - self.theta0) * np.linalg.norm(self.amplitude))

@@ -18,6 +18,9 @@ and slower route, so tests can compare the two:
 * `full_space_braid_matrix`: the KZ braid gate from the transport of the
   full dim x dim fundamental solution, against `kz.braid_matrix`'s transport
   in the highest-weight multiplicity spaces.
+* `flip_operator`: the flip of two tensor factors as a dim x dim
+  permutation, against the flip blocks `kz` makes by swapping two axes of
+  the highest-weight vectors.
 * `jimbo_braid_rep`: Jimbo's R-matrix representation of the braid group,
   which by Drinfeld-Kohno has the same braid-word traces as the spin-1/2 KZ
   gates at q = e^{pi i / lambda}, with no transport at all.
@@ -66,7 +69,7 @@ from monogate.fuchsian import (
     transport,
 )
 from monogate.gate_core import QuantumGate
-from monogate.kz import UnitarizationResult, _hermitian_kernel_basis, flip_operator
+from monogate.kz import UnitarizationResult
 from monogate.lappo_danilevski import ConnectionFamily, jet_monodromy, matrix_chen_integral
 from monogate.matrices import as_square_matrix, frobenius, unitarity_defect
 from monogate.paths import ArcSegment, LineSegment, PiecewisePath, braid_word_path, segment_log_increment
@@ -133,6 +136,27 @@ def sample_path(path, per_segment: int = ORACLE_SAMPLES) -> np.ndarray:
     ts = np.linspace(0.0, 1.0, per_segment)
     blocks = [np.stack([seg.at(t) for t in ts]) for seg in path.segments]
     return np.concatenate(blocks)
+
+
+def _hermitian_kernel_basis(mats) -> list[np.ndarray]:
+    """Orthonormal basis of the Hermitian solutions of B† H B = H for all B."""
+    dim = mats[0].shape[0]
+    blocks = [np.kron(b.T, b.conj().T) - np.eye(dim * dim) for b in mats]
+    _, s, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
+    null_count = int(np.sum(s <= max(s[0], 1.0) * 1e-10))
+    if null_count == 0:
+        raise ValueError("no invariant sesquilinear form exists within tolerance")
+    candidates = []
+    for row in vh[-null_count:]:
+        a = row.reshape(dim, dim, order="F")
+        candidates.append((a + a.conj().T) / 2.0)
+        candidates.append((a - a.conj().T) / 2j)
+    # the kernel is conjugation-stable, so Hermitian parts span its Hermitian
+    # slice; a real SVD of their real and imaginary parts keeps the basis Hermitian
+    stacked = np.stack([c.reshape(-1) for c in candidates]).view(float)
+    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
+    keep = sv > max(sv[0], 1.0) * 1e-10
+    return [vh[k].view(complex).reshape(dim, dim) for k in range(len(sv)) if keep[k]]
 
 
 def _most_definite_form(basis, dim: int) -> tuple[np.ndarray, float]:
@@ -251,6 +275,15 @@ def closure_levels_reference(gs, maxlen: int, node_budget: int):
         if budget_exhausted:
             break
     return elements, levels, saturated, budget_exhausted
+
+
+def flip_operator(n: int, d: int, i: int) -> np.ndarray:
+    """Permutation operator exchanging tensor factors i and i+1 (1-based):
+    the identity on (C^d)^{(x) n} with its output axes i-1 and i swapped."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"factor index {i} out of range for n={n}")
+    eye = np.eye(d**n, dtype=complex).reshape((d,) * (2 * n))
+    return eye.swapaxes(i - 1, i).reshape(d**n, d**n)
 
 
 def full_space_braid_matrix(sys, i: int, tol: float = 1e-10) -> np.ndarray:
@@ -443,7 +476,12 @@ def sequential_integrate(path, conn, y0, tol: float) -> np.ndarray:
             continue
         for piece, piece_clearance in _graded_pieces(seg, clearance, conn.divisor):
             def rhs(t, y):
-                return (conn.contract(piece.at(t), piece.velocity(t)) @ y.reshape(d, -1)).reshape(-1)
+                if isinstance(piece, ArcSegment):
+                    sweep = piece.theta1 - piece.theta0
+                    velocity = 1j * sweep * piece.amplitude * np.exp(1j * (piece.theta0 + t * sweep))
+                else:
+                    velocity = piece.end_point - piece.start_point
+                return (conn.contract(piece.at(t), velocity) @ y.reshape(d, -1)).reshape(-1)
 
             sol = solve_ivp(
                 rhs,

@@ -215,10 +215,10 @@ def test_08_kz_two_point_closed_form():
 def test_09_braid_relations_and_unitarity():
     sys3 = build_kz([HALF] * 3, 3.0)
     b3 = [braid_matrix(sys3, i, 1e-11) for i in (1, 2)]
-    braid_dev = verify_braid_relations(b3, 3, 1e-6).max_braid_deviation
+    braid_dev = verify_braid_relations(b3, 3).max_braid_deviation
     sys4 = build_kz([HALF] * 4, 3.0)
     b4 = [braid_matrix(sys4, i, 1e-10) for i in (1, 2, 3)]
-    comm_dev = verify_braid_relations(b4, 4, 1e-6).max_commutation_deviation
+    comm_dev = verify_braid_relations(b4, 4).max_commutation_deviation
     twist_dev = 0.0
     for i, b in enumerate(b3, start=1):
         full = transport(sys3.connection(), braid_word_path(3, [i, i]), 1e-11)

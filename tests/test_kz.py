@@ -22,7 +22,6 @@ from monogate.kz import (
     braid_word_matrix,
     build_kz,
     casimir_omega,
-    flip_operator,
     two_point_transport_factor,
     _isotypic_towers,
     _unitarize_block,
@@ -35,6 +34,7 @@ from monogate.paths import LineSegment, PiecewisePath, braid_word_path
 from oracles import (
     casimir_omega_via_coproduct,
     casimir_value,
+    flip_operator,
     full_space_braid_matrix,
     jimbo_braid_rep,
     random_unitary,
@@ -268,16 +268,23 @@ def test_opposite_orientations_are_inverse(sys3):
 
 
 def test_braid_relation_n3(braid3):
-    report = verify_braid_relations(braid3, 3, 1e-6)
+    report = verify_braid_relations(braid3, 3)
     assert report.max_braid_deviation <= 1e-6
 
 
 def test_far_commutation_n4():
     sys4 = build_kz([HALF] * 4, 3.0)
     mats = [braid_matrix(sys4, i, 1e-10) for i in (1, 2, 3)]
-    report = verify_braid_relations(mats, 4, 1e-6)
+    report = verify_braid_relations(mats, 4)
     assert report.max_braid_deviation <= 1e-6
     assert report.max_commutation_deviation <= 1e-6
+
+
+@pytest.mark.parametrize("i", [-1, 0, 3])
+def test_braid_matrix_rejects_a_generator_index_out_of_range(sys3, i):
+    # sigma_{-1} is a valid braid word letter but no flip of factors -1, 0
+    with pytest.raises(ValueError, match="out of range"):
+        braid_matrix(sys3, i)
 
 
 def test_braid_matrix_requires_identical_modules():
@@ -306,8 +313,8 @@ def test_braid_matrix_matches_the_full_space_transport(spin, n, lam):
     assert abs(res.defect - ref.defect) <= 1e-10
 
 
-def test_full_twist_from_the_gate_matches_the_full_space_transport(sys3, braid3):
-    twists = kz._full_twists(sys3, braid3, 1e-11)
+def test_full_twist_from_the_gate_matches_the_full_space_transport(sys3):
+    twists = kz._full_twists(sys3, kz._gate_blocks(sys3, (1, 2), 1e-11), 1e-11)
     assert len(twists) == 2
     for i, twist in enumerate(twists, start=1):
         full = transport(sys3.connection(), braid_word_path(3, [i, i]), 1e-11)
@@ -338,6 +345,46 @@ def test_braid_gates_are_solved_in_the_multiplicity_space(monkeypatch, capsys):
     assert cli.main(["kz", "verify", "--n", "6", "--lambda", "7.5"]) == 0
     capsys.readouterr()
     assert sizes == [5 * 20 * 20] * 2
+
+
+def test_kz_braid_unitarize_assembles_no_product_basis_gate(monkeypatch, capsys):
+    # the half-twists are one solve; the only assembly on the tensor product
+    # is the invariant form's
+    solves, assembled = [], []
+    solve, from_hw_blocks = fuchsian.solve_ivp, kz._from_hw_blocks
+
+    def recording_solve(fun, t_span, y0, **kwargs):
+        solves.append(len(y0))
+        return solve(fun, t_span, y0, **kwargs)
+
+    def recording_assembly(sys, blocks):
+        assembled.append(blocks)
+        return from_hw_blocks(sys, blocks)
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", recording_solve)
+    monkeypatch.setattr(kz, "_from_hw_blocks", recording_assembly)
+    assert cli.main(["kz", "braid", "--n", "6", "--lambda", "7.5", "--unitarize"]) == 0
+    capsys.readouterr()
+    assert solves == [5 * 20 * 20]
+    assert len(assembled) == 1
+    form = assembled[0]
+    assert form.shape == (20, 20)
+    assert np.array_equal(form, form.conj().T)
+    assert np.max(np.abs(np.linalg.eigvalsh(form))) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("lam", [3.0, 4.0, 7.5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_unitarize_kz_from_blocks_matches_the_product_basis_gates(n, lam):
+    sys = build_kz([HALF] * n, lam)
+    res = unitarize_kz(sys)
+    ref = unitarize_kz(sys, kz.braid_matrices(sys, range(1, n)))
+    assert res.radical_dim == ref.radical_dim
+    assert np.max(np.abs(res.form - ref.form)) <= 1e-12
+    assert abs(res.defect - ref.defect) <= 1e-12
+    assert len(res.matrices) == len(ref.matrices) == n - 1
+    for got, want in zip(res.matrices, ref.matrices):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_the_tower_frame_is_computed_once_per_system(monkeypatch):
@@ -425,7 +472,7 @@ def test_unitarize_kz_n3_level_one(sys3, braid3):
     for b in braid3:
         assert frobenius(b.conj().T @ res.form @ b - res.form) < 1e-8
     # braid relation survives on the quotient
-    rep = verify_braid_relations(res.matrices, 3, 1e-6)
+    rep = verify_braid_relations(res.matrices, 3)
     assert rep.max_braid_deviation <= 1e-6
     assert max(rep.pure_braid_unitarity) <= 1e-8
 
@@ -486,13 +533,13 @@ def test_connection_is_built_once(sys3):
 
 def test_identity_matrices_report_zero():
     mats = [np.eye(4), np.eye(4)]
-    report = verify_braid_relations(mats, 3, 1e-6)
+    report = verify_braid_relations(mats, 3)
     assert report.max_deviation == 0.0
     assert max(report.pure_braid_unitarity) == 0.0
 
 
 def test_pauli_pair_violates_braid_relation():
-    report = verify_braid_relations([SIGMA_X, SIGMA_Z], 3, 1e-6)
+    report = verify_braid_relations([SIGMA_X, SIGMA_Z], 3)
     # oracle: || sx sz sx - sz sx sz ||_F computed directly
     expected = frobenius(SIGMA_X @ SIGMA_Z @ SIGMA_X - SIGMA_Z @ SIGMA_X @ SIGMA_Z)
     assert abs(report.max_braid_deviation - expected) < 1e-12
@@ -501,12 +548,12 @@ def test_pauli_pair_violates_braid_relation():
 
 def test_relation_report_shape():
     mats = [np.eye(2)] * 3
-    report = verify_braid_relations(mats, 4, 1e-6)
+    report = verify_braid_relations(mats, 4)
     assert len(report.braid_deviations) == 2
     assert len(report.commutation_deviations) == 1
     assert len(report.pure_braid_unitarity) == 6
     with pytest.raises(ValueError):
-        verify_braid_relations(mats, 3, 1e-6)
+        verify_braid_relations(mats, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +569,20 @@ def test_flip_operator_swaps_product_vectors_exactly(n, d):
     for i in range(1, n):
         swapped = vs[: i - 1] + [vs[i], vs[i - 1]] + vs[i + 1 :]
         assert np.array_equal(flip_operator(n, d, i) @ reduce(np.kron, vs), reduce(np.kron, swapped))
+
+
+@pytest.mark.parametrize(
+    "spin, n",
+    [(0.5, n) for n in (2, 3, 4, 5, 6)] + [(1.0, n) for n in (2, 3, 4, 5)] + [(1.5, n) for n in (2, 3, 4)],
+)
+def test_flip_blocks_are_the_projected_factor_flips(spin, n):
+    sys = build_kz([SpinModule(spin)] * n, 7.5)
+    hw = sys._hw
+    assert len(sys._flips) == n - 1
+    for i, flip in enumerate(sys._flips, start=1):
+        want = hw.conj().T @ flip_operator(n, sys.modules[0].dim, i) @ hw
+        assert np.max(np.abs(flip - want)) <= 1e-14
+        assert np.max(np.abs(flip @ flip - np.eye(hw.shape[1]))) <= 1e-14
 
 
 def _multiplicities(sys):
