@@ -72,7 +72,7 @@ def _validate_args(args) -> None:
         value = getattr(args, key, None)
         if value is not None and value <= 0:
             raise ValueError(f"{_flag(key)} must be positive, got {value}")
-    for key in ("order", "maxlen", "samples", "budget", "generators", "i"):
+    for key in ("order", "maxlen", "samples", "budget", "generators", "dim", "i"):
         value = getattr(args, key, None)
         if value is not None and value < 1:
             raise ValueError(f"{_flag(key)} must be >= 1, got {value}")

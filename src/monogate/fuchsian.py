@@ -21,16 +21,16 @@ path pieces, by one adaptive embedded Runge-Kutta run (DOP853) on the
 stacked (B, d, c) state.  The step is capped by the smallest of the pieces'
 own distances from the divisor, and the local tolerances are divided by
 sqrt(B), so every piece keeps the error bound a solve of it alone would
-accept.  Two schedules share that one solve: `transports` takes every piece
-of every path from I at once and multiplies each path's pieces afterwards
-(monodromy, braid half-twists); `integrate_along` carries given blocks,
-solving the r-th piece of every path in round r (jets, Chen integrals, the
-second arc of a full twist).  Jets and Chen integrals are transports of
-nilpotent block connections over the same forms (`lappo_danilevski`).  A
-segment is one piece unless it dips toward the divisor in its interior;
-then it is cut into pieces graded by clearance, so a loop that passes a
-pole at distance h costs O(log(1/h)) pieces of a few steps each rather
-than O(1/h) steps.
+accept until a tolerance floor binds (see `_solve`).  Two schedules share
+that one solve: `transports` takes every piece of every path from I at once
+and multiplies each path's pieces afterwards (monodromy, braid half-twists);
+`integrate_along` carries given blocks, solving the r-th piece of every path
+in round r (jets, Chen integrals, the second arc of a full twist).  Jets and
+Chen integrals are transports of nilpotent block connections over the same
+forms (`lappo_danilevski`).  A segment is one piece unless it dips toward
+the divisor in its interior; then it is cut into pieces graded by
+clearance, so a loop that passes a pole at distance h costs O(log(1/h))
+pieces of a few steps each rather than O(1/h) steps.
 
 Composition convention: loops act on solution columns, so traversing gamma
 then delta gives M(delta) @ M(gamma).  The X_4 relation M1 M2 M3 M4 = I holds
@@ -370,9 +370,12 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float) -> np.ndarr
     scipy accepts a step when the RMS of err / scale over all B*d*c entries is
     at most 1; with scale / sqrt(B) that RMS is the 2-norm of the members' own
     RMS values, at least the largest of them, so every member keeps the local
-    error bound a solve of its piece alone would accept.  (DOP853 multiplies
-    that RMS by one damping factor <= 1 from its third-order estimate, which
-    a batch takes over all members rather than per member.)
+    error bound a solve of its piece alone would accept, until a floor binds:
+    for B > B_floor = (tol / 1e-11)^2 (atol) or (tol / 3e-12)^2 (rtol), 100
+    and 1,111 members at tol 1e-10, a member's local error may exceed that
+    bound by up to sqrt(B / B_floor).  (DOP853 multiplies that RMS by one
+    damping factor <= 1 from its third-order estimate, which a batch takes
+    over all members rather than per member.)
     """
     b = len(pieces)
     if b == 0:

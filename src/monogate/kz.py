@@ -4,7 +4,8 @@ Two-site coupling operators come from the Casimir element: with an orthogonal
 sl2 basis {I_a} normalized so that the spin-1/2 pair operator is exactly
 P - I/2 (P the swap), the coupling is O = sum_a I_a (x) I_a, realized on spin
 modules as twice the dot product of spin operator triples.  O_ij is that
-two-site operator placed on tensor factors i and j by one axis transpose.
+two-site operator on tensor factors i and j; it and the global J+ and J- act
+on column blocks by one tensor-axis contraction (`_on_sites`), none stored.
 The connection (1/lambda) sum O_ij d log(z_i - z_j) is flat, and transporting
 along a braid half-twist followed by the flip of factors i and i+1 yields
 quantum gates on V^{(x) n}.  The product basis is a weight basis, so the
@@ -62,7 +63,6 @@ __all__ = [
     "braid_matrices",
     "braid_word_matrix",
     "unitarize_kz",
-    "total_spin_operators",
     "UnitarizationResult",
     "verify_braid_relations",
     "BraidRelationReport",
@@ -140,24 +140,23 @@ def casimir_omega(vi: SpinModule, vj: SpinModule) -> np.ndarray:
     return out
 
 
-def _on_sites(op: np.ndarray, sites, dims) -> np.ndarray:
+def _on_sites(op: np.ndarray, sites, dims, cols: np.ndarray) -> np.ndarray:
     """op acting on the tensor factors `sites` (0-based, in op's own factor
-    order), identity elsewhere: kron with the identity, then one transpose."""
-    n, dim = len(dims), int(np.prod(dims))
-    order = list(sites) + [k for k in range(n) if k not in sites]
-    full = np.kron(op, np.eye(dim // op.shape[0], dtype=complex))
-    back = np.argsort(order).tolist()
-    shape = [dims[k] for k in order] * 2
-    return full.reshape(shape).transpose(back + [n + k for k in back]).reshape(dim, dim)
+    order) of every column of the dim x c block `cols`: move those axes to
+    the front, one matmul, move them back."""
+    k = len(sites)
+    t = np.moveaxis(cols.reshape(tuple(dims) + (-1,)), sites, range(k))
+    out = (op @ t.reshape(op.shape[1], -1)).reshape(t.shape)
+    return np.moveaxis(out, range(k), sites).reshape(cols.shape)
 
 
 @dataclass(frozen=True)
 class KZSystem:
-    """n marked points with spin modules, coupling lambda and operators O_ij."""
+    """n marked points with spin modules and coupling lambda; the operators
+    O_ij are applied to column blocks (`_coupling`), never stored."""
 
     modules: tuple[SpinModule, ...]
     lam: complex
-    omegas: dict  # {(i, j) 0-based, i < j: operator on the full tensor product}
 
     @property
     def n(self) -> int:
@@ -167,14 +166,19 @@ class KZSystem:
     def dim(self) -> int:
         return int(np.prod([m.dim for m in self.modules]))
 
+    def _coupling(self, i: int, j: int, cols: np.ndarray) -> np.ndarray:
+        """O_ij (0-based factors) applied to the columns of `cols`."""
+        op = casimir_omega(self.modules[i], self.modules[j])
+        return _on_sites(op, (i, j), [m.dim for m in self.modules], cols)
+
     def connection(self) -> Connection:
-        """The flat connection with residues O_ij / lambda, built once."""
+        """The full-space flat connection, residues O_ij / lambda, built once when asked."""
         return self._connection
 
     @cached_property
     def _connection(self) -> Connection:
-        forms = ConfigurationForms(self.n)
-        return Connection(forms, [self.omegas[pair] / self.lam for pair in forms.pairs])
+        forms, eye = ConfigurationForms(self.n), np.eye(self.dim, dtype=complex)
+        return Connection(forms, [self._coupling(i, j, eye) / self.lam for i, j in forms.pairs])
 
     @cached_property
     def _towers(self) -> list:
@@ -191,9 +195,8 @@ class KZSystem:
         """The connection restricted to the highest-weight vectors, residues
         hw^H (O_ij / lambda) hw; block diagonal over the spins, since O_ij
         preserves the weight and maps highest-weight vectors to such."""
-        forms = ConfigurationForms(self.n)
-        hw = self._hw
-        return Connection(forms, [hw.conj().T @ self.omegas[pair] @ hw / self.lam for pair in forms.pairs])
+        forms, hw = ConfigurationForms(self.n), self._hw
+        return Connection(forms, [hw.conj().T @ self._coupling(i, j, hw) / self.lam for i, j in forms.pairs])
 
     @cached_property
     def _flips(self) -> list:
@@ -206,8 +209,8 @@ class KZSystem:
 
 
 def build_kz(modules, lam: complex) -> KZSystem:
-    """Assemble the KZ system; verifies sl2 relations and flatness, the latter
-    on each distinct triple of modules."""
+    """The KZ system of these modules at coupling lambda; verifies sl2
+    relations and flatness, the latter on each distinct triple of modules."""
     modules = tuple(modules)
     if len(modules) < 2:
         raise ValueError("KZ system needs n >= 2 marked points")
@@ -217,14 +220,14 @@ def build_kz(modules, lam: complex) -> KZSystem:
         defect = m.commutator_defect()
         if defect > SL2_COMMUTATOR_TOL:
             raise ValueError(f"spin module {m.spin} violates sl2 relations by {defect:.3e}")
-    sys = _assemble(modules, complex(lam))
-    # O_ij is one two-site operator placed on factors i and j, so pairs on
+    sys = KZSystem(modules, complex(lam))
+    # O_ij is one two-site operator acting on factors i and j, so pairs on
     # disjoint factors commute by construction, and each three-site relation
     # is its value on V_i (x) V_j (x) V_k tensored with the identity: its
     # Frobenius norm grows by sqrt(dim of the other factors).
     violation = max(
         (
-            integrability_check(_assemble(triple, sys.lam).connection()).max_violation
+            integrability_check(KZSystem(triple, sys.lam).connection()).max_violation
             * math.sqrt(sys.dim / math.prod(m.dim for m in triple))
             for triple in set(combinations(modules, 3))
         ),
@@ -233,16 +236,6 @@ def build_kz(modules, lam: complex) -> KZSystem:
     if violation > FLATNESS_TOL:
         raise ValueError(f"KZ connection is not flat: violation {violation:.3e}")
     return sys
-
-
-def _assemble(modules: tuple, lam: complex) -> KZSystem:
-    dims = [m.dim for m in modules]
-    omegas = {
-        (i, j): _on_sites(casimir_omega(modules[i], modules[j]), (i, j), dims)
-        for i in range(len(modules))
-        for j in range(i + 1, len(modules))
-    }
-    return KZSystem(modules, lam, omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -392,32 +385,32 @@ def _unitarize_block(mats):
     return h, kept, int(np.sum(~keep))
 
 
-def total_spin_operators(sys: KZSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Global raising operator J+ and weight operator Jz on the tensor product."""
-    dims = [m.dim for m in sys.modules]
-    jp = sum(_on_sites(m.sp, (k,), dims) for k, m in enumerate(sys.modules))
-    jz = sum(_on_sites(m.sz, (k,), dims) for k, m in enumerate(sys.modules))
-    return jp, jz
-
-
 def _isotypic_towers(sys: KZSystem):
     """Decompose the tensor product under the global sl2 action.
 
     Returns (j, towers) in ascending j; towers[p] is an orthonormal dim x mult
     block of weight (j - p) vectors in the spin-j isotypic component, all
     sharing one multiplicity frame (towers[p] = normalized J-^p towers[0]).
-    Jz is diagonal, so spin j has multiplicity #(weight j) - #(weight j+1), and
-    its highest-weight vectors are the kernel of J+ on the weight-j coordinates."""
-    jp, jz = total_spin_operators(sys)
-    jm = jp.conj().T
-    twice = np.rint(2 * jz.diagonal().real).astype(int)
+    A product vector's twice-weight is the sum of its factors', so spin j has
+    multiplicity #(weight j) - #(weight j+1), and its highest-weight vectors
+    are the kernel of J+ on the weight-j coordinates.  J+ and J- are applied
+    to column blocks by one contraction per site, never formed."""
+    dims = [m.dim for m in sys.modules]
+    sps, sms = [m.sp for m in sys.modules], [m.sm for m in sys.modules]
+
+    def total(ops, cols):
+        return sum(_on_sites(op, (k,), dims, cols) for k, op in enumerate(ops))
+
+    twice = sum(np.ix_(*[round(2 * m.spin) - 2 * np.arange(m.dim) for m in sys.modules])).ravel()
     out = []
     for tj in range(twice.max() % 2, twice.max() + 1, 2):
         at, up = np.flatnonzero(twice == tj), np.flatnonzero(twice == tj + 2)
         mult = at.size - up.size
         if mult == 0:
             continue
-        _, s, vh = np.linalg.svd(jp[np.ix_(up, at)])
+        units = np.zeros((sys.dim, at.size), dtype=complex)
+        units[at, np.arange(at.size)] = 1.0
+        _, s, vh = np.linalg.svd(total(sps, units)[up])
         rank = int(np.sum(s > 1e-10))  # nonzero singular values here are >= sqrt(2)
         if at.size - rank != mult:
             raise ValueError("isotypic decomposition failed; check the modules")
@@ -425,7 +418,7 @@ def _isotypic_towers(sys: KZSystem):
         hw[at] = vh[rank:].conj().T
         towers = [hw]
         for _ in range(tj):
-            nxt = jm @ towers[-1]
+            nxt = total(sms, towers[-1])
             towers.append(nxt / np.linalg.norm(nxt[:, 0]))
         out.append((tj / 2, towers))
     return out

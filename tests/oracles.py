@@ -21,6 +21,10 @@ and slower route, so tests can compare the two:
 * `flip_operator`: the flip of two tensor factors as a dim x dim
   permutation, against the flip blocks `kz` makes by swapping two axes of
   the highest-weight vectors.
+* `dense_on_sites`: an operator on chosen tensor factors as a dim x dim
+  matrix (kron with the identity, then one transpose), against
+  `kz._on_sites`'s contraction with a column block; `total_spin_operators`
+  builds the global J+ and Jz with it.
 * `jimbo_braid_rep`: Jimbo's R-matrix representation of the braid group,
   which by Drinfeld-Kohno has the same braid-word traces as the spin-1/2 KZ
   gates at q = e^{pi i / lambda}, with no transport at all.
@@ -284,6 +288,25 @@ def flip_operator(n: int, d: int, i: int) -> np.ndarray:
         raise ValueError(f"factor index {i} out of range for n={n}")
     eye = np.eye(d**n, dtype=complex).reshape((d,) * (2 * n))
     return eye.swapaxes(i - 1, i).reshape(d**n, d**n)
+
+
+def dense_on_sites(op: np.ndarray, sites, dims) -> np.ndarray:
+    """op acting on the tensor factors `sites` (0-based, in op's own factor
+    order), identity elsewhere: kron with the identity, then one transpose."""
+    n, dim = len(dims), int(np.prod(dims))
+    order = list(sites) + [k for k in range(n) if k not in sites]
+    full = np.kron(op, np.eye(dim // op.shape[0], dtype=complex))
+    back = np.argsort(order).tolist()
+    shape = [dims[k] for k in order] * 2
+    return full.reshape(shape).transpose(back + [n + k for k in back]).reshape(dim, dim)
+
+
+def total_spin_operators(sys) -> tuple[np.ndarray, np.ndarray]:
+    """Global raising operator J+ and weight operator Jz on the tensor product."""
+    dims = [m.dim for m in sys.modules]
+    jp = sum(dense_on_sites(m.sp, (k,), dims) for k, m in enumerate(sys.modules))
+    jz = sum(dense_on_sites(m.sz, (k,), dims) for k, m in enumerate(sys.modules))
+    return jp, jz
 
 
 def full_space_braid_matrix(sys, i: int, tol: float = 1e-10) -> np.ndarray:

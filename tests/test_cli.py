@@ -343,6 +343,10 @@ def test_order_below_one_rejected(tmp_path, capsys):
     )
     assert code == 1
     assert ">= 1" in err
+    for dim in ("0", "-1"):
+        code, _, err = run(capsys, "pipeline", "--dim", dim)
+        assert code == 1
+        assert "--dim must be >= 1" in err
 
 
 def test_threads_env_ignored(capsys, monkeypatch):

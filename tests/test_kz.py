@@ -25,7 +25,6 @@ from monogate.kz import (
     two_point_transport_factor,
     _isotypic_towers,
     _unitarize_block,
-    total_spin_operators,
     unitarize_kz,
     verify_braid_relations,
 )
@@ -34,10 +33,12 @@ from monogate.paths import LineSegment, PiecewisePath, braid_word_path
 from oracles import (
     casimir_omega_via_coproduct,
     casimir_value,
+    dense_on_sites,
     flip_operator,
     full_space_braid_matrix,
     jimbo_braid_rep,
     random_unitary,
+    total_spin_operators,
     two_point_solution,
     unitarize_representation,
 )
@@ -149,7 +150,7 @@ def test_build_kz_two_point_form(sys2):
 
 def test_omega_acts_trivially_outside_its_factors(sys3):
     # O_12 commutes with operators supported on the third factor
-    om = sys3.omegas[(0, 1)]
+    om = sys3._coupling(0, 1, np.eye(sys3.dim, dtype=complex))
     probe = np.kron(np.eye(4), SIGMA_X + 0.7 * SIGMA_Z)
     assert frobenius(om @ probe - probe @ om) < 1e-12
     assert frobenius(om - om.conj().T) < 1e-12  # Hermitian
@@ -402,6 +403,25 @@ def test_the_tower_frame_is_computed_once_per_system(monkeypatch):
     assert calls == [sys]
 
 
+def test_the_gate_path_stores_no_operator_on_the_tensor_product():
+    sys = build_kz([HALF] * 7, 7.5)
+    kz._gate_blocks(sys, range(1, 7), 1e-10)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from arrays(v)
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                yield from arrays(v)
+
+    held = vars(sys)
+    assert "_connection" not in held
+    assert all(a.size < sys.dim**2 for value in held.values() for a in arrays(value))
+
+
 @cache
 def half_spin_gates(n: int, lam: float) -> tuple[np.ndarray, ...]:
     sys = build_kz([HALF] * n, lam)
@@ -524,7 +544,8 @@ def test_unitarize_block_needs_a_unique_form():
 def test_connection_is_built_once(sys3):
     conn = sys3.connection()
     assert sys3.connection() is conn
-    assert np.allclose(conn.coefficients[conn.forms.pairs.index((0, 2))], sys3.omegas[(0, 2)] / sys3.lam)
+    want = dense_on_sites(PRINTED_OMEGA, (0, 2), [2, 2, 2]) / sys3.lam
+    assert np.allclose(conn.coefficients[conn.forms.pairs.index((0, 2))], want)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +580,18 @@ def test_relation_report_shape():
 # ---------------------------------------------------------------------------
 # Tensor structure: factor flips and the isotypic frame.
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sites", [(0,), (1,), (2,), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+def test_on_sites_matches_the_dense_operator(sites):
+    # spins 1/2, 1 and 3/2: factors of unequal dimension in every order
+    dims = [2, 3, 4]
+    rng = np.random.default_rng(sum(10**k * (s + 1) for k, s in enumerate(sites)))
+    size = int(np.prod([dims[s] for s in sites]))
+    op = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    cols = rng.normal(size=(24, 5)) + 1j * rng.normal(size=(24, 5))
+    got = kz._on_sites(op, sites, dims, cols)
+    assert np.max(np.abs(got - dense_on_sites(op, sites, dims) @ cols)) <= 1e-13
+
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [2, 3, 4])
