@@ -11,6 +11,7 @@ verification deviation above tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -353,7 +354,10 @@ def _add_common(p):
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every `main`
+    call: parsing does not change it."""
     root = _Parser(prog="monogate", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 

@@ -18,19 +18,22 @@ wire format names three variants, `points`, `differences` and
 Every ODE in the package is one call of `_solve`: it drives a batch of
 column blocks Y of dY = Omega(gamma(t)) gamma'(t) Y dt, one along each of B
 path pieces, by one adaptive embedded Runge-Kutta run (DOP853) on the
-stacked (B, d, c) state.  The step is capped by the smallest of the pieces'
-own distances from the divisor, and the local tolerances are divided by
-sqrt(B), so every piece keeps the error bound a solve of it alone would
-accept until a tolerance floor binds (see `_solve`).  Two schedules share
-that one solve: `transports` takes every piece of every path from I at once
-and multiplies each path's pieces afterwards (monodromy, braid half-twists);
-`integrate_along` carries given blocks, solving the r-th piece of every path
-in round r (jets, Chen integrals, the second arc of a full twist).  Jets and
-Chen integrals are transports of nilpotent block connections over the same
-forms (`lappo_danilevski`).  A segment is one piece unless it dips toward
-the divisor in its interior; then it is cut into pieces graded by
-clearance, so a loop that passes a pole at distance h costs O(log(1/h))
-pieces of a few steps each rather than O(1/h) steps.
+stacked (B, d, c) state.  Omega does not depend on Y, so each step attempt
+evaluates it at all 12 of its stage times in one contraction
+(`_LinearDOP853`), with scipy's steps, error rule and counters.  The step is
+capped by the smallest of the pieces' own distances from the divisor, and
+the local tolerances are divided by sqrt(B), so every piece keeps the error
+bound a solve of it alone would accept until a tolerance floor binds (see
+`_solve`).  Two schedules share that one solve: `transports` takes every
+piece of every path from I at once and multiplies each path's pieces
+afterwards (monodromy, braid half-twists); `integrate_along` carries given
+blocks, solving the r-th piece of every path in round r (jets, Chen
+integrals, the second arc of a full twist).  Jets and Chen integrals are
+transports of nilpotent block connections over the same forms
+(`lappo_danilevski`).  A segment is one piece unless it dips toward the
+divisor in its interior; then it is cut into pieces graded by clearance, so
+a loop that passes a pole at distance h costs O(log(1/h)) pieces of a few
+steps each rather than O(1/h) steps.
 
 Composition convention: loops act on solution columns, so traversing gamma
 then delta gives M(delta) @ M(gamma).  The X_4 relation M1 M2 M3 M4 = I holds
@@ -44,7 +47,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.linalg import schur
 
 from .matrices import (
@@ -353,14 +357,82 @@ def _plan(conn: Connection, paths, tol: float) -> list[list]:
     return plans
 
 
+class _LinearDOP853(DOP853):
+    """scipy's DOP853 for a linear system y' = Omega(t) y: Omega at the 12
+    times of a step attempt (its stages after the first, then t + h) comes
+    from one call omegas(times) -> (12, B, d, d); y is the flattened (B, d, c)
+    state of the given `shape`.  Step control is scipy's
+    `RungeKutta._step_impl` with the same arithmetic, and `nfev` counts Omega
+    evaluations, so the steps, the counters and the results are those of the
+    stock stepper."""
+
+    # Stage times after t, in units of h.
+    NODES = np.append(DOP853.C[1:], 1.0)
+
+    def __init__(self, fun, t0, y0, t_bound, omegas, shape, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.omegas, self.shape = omegas, shape
+
+    def _stages(self, t, y, h):
+        """scipy's `rk_step`, Omega first: (y_new, f_new), stages in self.K."""
+        omega = self.omegas(t + self.NODES * h)
+        self.nfev += len(omega)
+        K = self.K
+        K[0] = self.f
+        for s, (a, w) in enumerate(zip(self.A[1:], omega), start=1):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = np.matmul(w, (y + dy).reshape(self.shape)).reshape(-1)
+        y_new = y + h * np.dot(K[:-1].T, self.B)
+        f_new = np.matmul(omega[-1], y_new.reshape(self.shape)).reshape(-1)
+        K[-1] = f_new
+        return y_new, f_new
+
+    def _step_impl(self):
+        t, y = self.t, self.y
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * self.direction
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = self._stages(t, y, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            step_rejected = True
+        factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+        if step_rejected:
+            factor = min(1, factor)
+        self.h_previous, self.y_old = h, y
+        self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs * factor, f_new
+        return True, None
+
+
 def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float) -> np.ndarray:
     """Drive B column blocks of dY = Omega Y, one along each piece, in one solve.
 
     pieces holds B (piece, clearance) pairs, each piece parametrized on
     [0, 1]; starts is the (B, d, c) stack of start blocks, and the stack at
-    t = 1 is returned.  The right-hand side evaluates all B points at once:
-    z = S + tD on lines and C + A e^{i theta(t)} on arcs, then one contraction
-    (B, m) @ (m, d*d) and one batched matmul with the state.
+    t = 1 is returned.  `omegas(ts)` evaluates all B points at every time in
+    ts at once: z = S + tD on lines and C + A e^{i theta(t)} on arcs, then
+    one contraction (len(ts), B, m) @ (m, d*d).  A step attempt takes one
+    `omegas` call for its 12 stage times, then its stages are batched matmuls
+    with the state (`_LinearDOP853`); `rhs(t, y)` serves only scipy's two
+    start-up evaluations.  The steps, the error rule, the step cap, the
+    floors below and `nfev` (Omega evaluations) are those of scipy's own
+    DOP853.
 
     Step cap: the smallest of the members' caps, 0.5 x (the piece's own
     clearance from the divisor) / speed, so no member's step can skip a pole.
@@ -393,20 +465,26 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float) -> np.ndarr
     spin = 1j * sweep[:, None]
     shape = starts.shape
 
+    def omegas(ts):
+        """Omega of every member at every time in ts: (len(ts), B, d, d)."""
+        ts = np.asarray(ts)[:, None, None]
+        turn = amplitude * np.exp(1j * (theta0 + ts[..., 0] * sweep))[..., None]
+        return conn.contract(origin + ts * drift + turn, drift + spin * turn)
+
     def rhs(t, y):
-        turn = amplitude * np.exp(1j * (theta0 + t * sweep))[:, None]
-        omega = conn.contract(origin + t * drift + turn, drift + spin * turn)
-        return np.matmul(omega, y.reshape(shape)).reshape(-1)
+        return np.matmul(omegas([t])[0], y.reshape(shape)).reshape(-1)
 
     root_b = np.sqrt(b)
     sol = solve_ivp(
         rhs,
         (0.0, 1.0),
         starts.reshape(-1),
-        method="DOP853",
+        method=_LinearDOP853,
         rtol=max(tol * 1e-2 / root_b, 3e-14),
         atol=max(tol * 1e-3 / root_b, 1e-14),
         max_step=min(_segment_step_cap(piece, c) for piece, c in pieces),
+        omegas=omegas,
+        shape=shape,
     )
     if not sol.success:
         raise TransportError(f"integrator failed: {sol.message}", min(c for _, c in pieces))

@@ -46,6 +46,19 @@ def test_bad_flag_is_input_error(capsys):
     assert code == 1
 
 
+def test_one_parser_serves_every_call(capsys):
+    assert build_parser() is build_parser()
+    # a failed parse leaves nothing behind for the next command
+    code, out, _ = run(capsys, "gate", "--name", "X")
+    assert code == 0 and json.loads(out)["config"] == {"name": "X", "out": None, "format": "json"}
+    assert run(capsys, "gate", "--name", "X", "--nonsense")[0] == 1
+    code, out, _ = run(capsys, "paths", "braid", "--n", "3", "--i", "2")
+    assert code == 0 and json.loads(out)["config"] == {"n": 3, "i": 2, "out": None, "format": "json"}
+    assert run(capsys, "universality", "screen", "--maxlen", "0", "--names", "X,Z")[0] == 1
+    code, out, _ = run(capsys, "gate", "--name", "Z", "--format", "text")
+    assert code == 0 and "command: gate" in out
+
+
 def test_paths_braid_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "path.json"
     code, _, _ = run(capsys, "paths", "braid", "--n", "3", "--i", "1", "--out", str(out_file))

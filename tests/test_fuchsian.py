@@ -14,6 +14,7 @@ from monogate.fuchsian import (
     DivisorContactError,
     MonodromyRepresentation,
     PointsConnection,
+    TransportError,
     connection_from_json,
     connection_to_json,
     integrability_check,
@@ -671,3 +672,111 @@ def test_jet_blocks_are_not_widened(monkeypatch, m, order, d):
     jets = jet_monodromy(fam, loops, order, 1e-10)
     assert [len(j) for j in jets] == [order] * m
     assert [size for size, *_ in calls] == [m * (order + 1) * d * d] * 3
+
+
+# ---------------------------------------------------------------------------
+# The batched stepper against scipy's stock DOP853.
+# ---------------------------------------------------------------------------
+
+def twin_solves(monkeypatch):
+    """(solution, Connection.contract calls, stock solution) of every solve
+    `fuchsian` makes; the stock solution is scipy's own DOP853 run on the same
+    right-hand side with the same tolerances and step cap."""
+    runs = []
+    solve_ivp, contract = fuchsian.solve_ivp, Connection.contract
+    calls = []
+
+    def counted(self, z, v):
+        calls.append(None)
+        return contract(self, z, v)
+
+    def twin(fun, t_span, y0, **kwargs):
+        calls.clear()
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        used = len(calls)
+        stock = {k: v for k, v in kwargs.items() if k not in ("omegas", "shape")}
+        runs.append((sol, used, solve_ivp(fun, t_span, y0, **{**stock, "method": "DOP853"})))
+        return sol
+
+    monkeypatch.setattr(Connection, "contract", counted)
+    monkeypatch.setattr(fuchsian, "solve_ivp", twin)
+    return runs
+
+
+def assert_stock_steps(runs):
+    assert runs
+    for sol, _, stock in runs:
+        assert sol.status == stock.status == 0
+        assert (sol.nfev, len(sol.t)) == (stock.nfev, len(stock.t))
+        end, want = sol.y[:, -1], stock.y[:, -1]
+        assert np.max(np.abs(end - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def rejected_attempts(stock):
+    """Stock DOP853 takes 2 start-up evaluations and 12 per step attempt."""
+    return (stock.nfev - 2) // 12 - (len(stock.t) - 1)
+
+
+def test_batched_stepper_takes_the_stock_steps_on_x4_loops(monkeypatch):
+    runs = twin_solves(monkeypatch)
+    conn = sum_free_connection(np.random.default_rng(3), 2)
+    fuchsian.transports(conn, standard_loops(conn), 1e-10)
+    assert_stock_steps(runs)
+
+
+def test_batched_stepper_takes_the_stock_steps_near_a_pole(monkeypatch):
+    runs = twin_solves(monkeypatch)
+    conn = PointsConnection((0.0, 1.0), (0.3 * SIGMA_X, -0.2 * SIGMA_Z))
+    fuchsian.transports(conn, [near_pole_loop(1e-4), *x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25)], 1e-10)
+    assert_stock_steps(runs)
+    assert sum(rejected_attempts(stock) for *_, stock in runs) > 0
+
+
+def test_batched_stepper_takes_the_stock_steps_on_kz_half_twists(monkeypatch):
+    runs = twin_solves(monkeypatch)
+    conn = build_kz([SpinModule(0.5)] * 5, 7.5)._hw_connection
+    fuchsian.transports(conn, [braid_word_path(5, [i]) for i in range(1, 5)], 1e-10)
+    assert_stock_steps(runs)
+
+
+def test_batched_stepper_takes_the_stock_steps_on_jets(monkeypatch):
+    runs = twin_solves(monkeypatch)
+    rng = np.random.default_rng(4)
+    forms = DifferenceForms((0.0, 1.0))
+    fam = ConnectionFamily(forms, tuple(tuple(random_hermitian(2, rng, 0.3) for _ in range(4))
+                                        for _ in range(2)))
+    jet_monodromy(fam, x4_generator_loops(forms.points, 0.5 - 1.5j, 0.3), 4, 1e-10)
+    assert len(runs) == 3
+    assert_stock_steps(runs)
+
+
+def test_one_contraction_per_step_attempt(monkeypatch):
+    # the 12 stage connections of an attempt are one `contract` call; only
+    # scipy's two start-up evaluations are single
+    runs = twin_solves(monkeypatch)
+    conn = sum_free_connection(np.random.default_rng(6), 2)
+    fuchsian.transports(conn, [near_pole_loop(1e-3), *standard_loops(conn)], 1e-10)
+    ((_, used, stock),) = runs
+    assert rejected_attempts(stock) > 0
+    assert used == 2 + (stock.nfev - 2) // 12
+
+
+class _NaNRightOfHalf(PointsConnection):
+    """Omega is NaN where Re z > 0.5."""
+
+    def contract(self, z, v):
+        omega = super().contract(z, v)
+        return np.where((z[..., :1].real > 0.5)[..., None], np.nan, omega)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_nan_connection_is_a_transport_error(monkeypatch):
+    # past Re z = 0.5 every attempt is rejected until the step underflows
+    runs = twin_solves(monkeypatch)
+    conn = _NaNRightOfHalf((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
+    line = PiecewisePath((LineSegment(np.array([0.0 - 1.0j]), np.array([1.0 - 1.0j])),))
+    with pytest.raises(TransportError, match="step size"):
+        transport(conn, line, 1e-10)
+    ((sol, _, stock),) = runs
+    assert sol.status == stock.status == -1
+    assert (sol.nfev, len(sol.t)) == (stock.nfev, len(stock.t))
