@@ -17,18 +17,25 @@ wire format names three variants, `points`, `differences` and
 
 Every ODE in the package is one call of `_solve`: it drives a batch of
 column blocks Y of dY = Omega(gamma(t)) gamma'(t) Y dt, one along each of B
-path pieces, by one adaptive embedded Runge-Kutta run (DOP853) on the
-stacked (B, d, c) state.  Omega does not depend on Y, so each step attempt
-evaluates it at all 12 of its stage times in one contraction
-(`_LinearDOP853`), with scipy's steps, error rule and counters.  The step is
-capped by the smallest of the pieces' own distances from the divisor, and
-the local tolerances are divided by sqrt(B), so every piece keeps the error
-bound a solve of it alone would accept until a tolerance floor binds (see
-`_solve`).  Two schedules share that one solve: `transports` takes every
-piece of every path from I at once and multiplies each path's pieces
-afterwards (monodromy, braid half-twists); `integrate_along` carries given
-blocks, solving the r-th piece of every path in round r (jets, Chen
-integrals, the second arc of a full twist).  Jets and Chen integrals are
+path pieces or sub-pieces, by one adaptive embedded Runge-Kutta run
+(DOP853) on the stacked (B, d, c) state.  Omega does not depend on Y, so
+each step attempt evaluates it at all 12 of its stage times in one
+contraction (`_LinearDOP853`), with scipy's steps, error rule and counters.
+A state of at most W = SMALL_STATE complex entries is stepped in real form,
+[Re Y; Im Y] under [[Re Omega, -Im Omega], [Im Omega, Re Omega]], which
+numpy multiplies about three times faster in stacks of tiny matrices.  The
+step is capped by the smallest of the members' own distances from the
+divisor, and the local tolerances are divided by sqrt(B), so every member
+keeps the error bound a solve of it alone would accept until a tolerance
+floor binds (see `_solve`).  Two schedules share that one solve:
+`transports` takes every piece of every path from I at once and multiplies
+each path's pieces afterwards (monodromy, braid half-twists); transport is
+multiplicative along a path, so while the batch stays within W entries and
+B_floor = (tol / 1e-11)^2 members it first cuts every piece into
+ceil(length / clearance) equal sub-pieces, which take a few wide steps side
+by side instead of many narrow ones in turn.  `integrate_along` carries
+given blocks whole, solving the r-th piece of every path in round r (jets,
+Chen integrals, the second arc of a full twist).  Jets and Chen integrals are
 transports of nilpotent block connections over the same forms
 (`lappo_danilevski`).  A segment is one piece unless it dips toward the
 divisor in its interior; then it is cut into pieces graded by clearance, so
@@ -43,7 +50,9 @@ the basepoint below it (see `x4_generator_loops`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -95,6 +104,19 @@ MIN_CLEARANCE = 1e-9
 # Transport solves a piece whole when its clearance is at least GRADING times
 # the clearance at its ends, and halves it otherwise (`_graded_pieces`).
 GRADING = 0.5
+# W: a batch whose state holds at most this many complex entries is stepped
+# in real form (`_solve`), and `transports` cuts its pieces to their
+# clearance only while the cut batch stays within it.  Measured on one
+# `transports` call of four standard loops (12 pieces, 84 when cut; d x d
+# residues, tol 1e-10, 2-core Xeon VM, one BLAS thread), median ms of
+# whole complex / whole real / cut complex / cut real:
+#   d = 1:  12.2 / 13.1 /   5.2 /   6.4     d = 8:   21.4 /  16.6 /  20.0 /  17.3
+#   d = 2:  17.8 / 13.2 /  12.7 /   7.2     d = 16:  37.6 /  29.9 /  63.6 /  82.9
+#   d = 4:  17.5 / 12.6 /  13.3 /   8.9     d = 32: 153.9 / 134.6 / 280.6 / 339.2
+# Cutting pays up to d = 4 (1,344 entries) and not from d = 8 (5,376).  Past
+# W states stay complex for memory: the n = 9 KZ gate path (8 x 126^2
+# entries) peaks at 449 MB RSS in real form against 251 MB.
+SMALL_STATE = 4096
 
 
 class NumericsError(RuntimeError):
@@ -284,6 +306,24 @@ class Connection:
         w = self.forms.weights(z, v)
         return (w @ self._stack).reshape(*w.shape[:-1], self.dim, self.dim)
 
+    @cached_property
+    def _real_stack(self) -> np.ndarray:
+        """The (2m, 4 d^2) real form of the stack: R(C_k) for every k, then
+        R(i C_k), with R(X) = [[Re X, -Im X], [Im X, Re X]].  R is real-linear,
+        so R(Omega) = sum_k Re w_k R(C_k) + Im w_k R(i C_k)."""
+        re, im = self.coefficients.real, self.coefficients.imag
+        stack = np.concatenate([np.block([[re, -im], [im, re]]), np.block([[-im, -re], [re, -im]])])
+        return stack.reshape(2 * len(re), -1)
+
+    def contract_real(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """R(Omega(z)(v)) = [[Re Omega, -Im Omega], [Im Omega, Re Omega]], which
+        acts on [Re Y; Im Y] as Omega on Y: one real product of the weights
+        [Re w | Im w] with the real form of the stack; (2d, 2d) at one point, or
+        (B, 2d, 2d) for a stack of B points."""
+        w = self.forms.weights(z, v)
+        flat = np.concatenate([w.real, w.imag], axis=-1) @ self._real_stack
+        return flat.reshape(*w.shape[:-1], 2 * self.dim, 2 * self.dim)
+
 
 class PointsConnection(Connection):
     """Omega = sum_j A_j dz / (z - s_j) on C minus the poles; with
@@ -388,6 +428,9 @@ class _LinearDOP853(DOP853):
         return y_new, f_new
 
     def _step_impl(self):
+        if not math.isfinite(self.h_abs):
+            # scipy's start-up step from a NaN rate; no attempt would end
+            return False, "the first step is not finite"
         t, y = self.t, self.y
         min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
         if self.h_abs > self.max_step:
@@ -420,75 +463,110 @@ class _LinearDOP853(DOP853):
         return True, None
 
 
-def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float) -> np.ndarray:
-    """Drive B column blocks of dY = Omega Y, one along each piece, in one solve.
+def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts=None) -> np.ndarray:
+    """Drive B column blocks of dY = Omega Y, one along each member, in one solve.
 
-    pieces holds B (piece, clearance) pairs, each piece parametrized on
-    [0, 1]; starts is the (B, d, c) stack of start blocks, and the stack at
-    t = 1 is returned.  `omegas(ts)` evaluates all B points at every time in
-    ts at once: z = S + tD on lines and C + A e^{i theta(t)} on arcs, then
-    one contraction (len(ts), B, m) @ (m, d*d).  A step attempt takes one
+    pieces holds (piece, clearance) pairs, each piece parametrized on [0, 1].
+    Without `cuts` every piece is one member; with them the k-th piece is cut
+    into cuts[k] equal sub-pieces, which are members in order, by scaling
+    the geometry below (no segment is built).  starts is the (B, d, c) stack
+    of start blocks, one per member, and the stack at t = 1 is returned.
+    `omegas(ts)` evaluates all B members at every time in ts at once:
+    z = S + tD on lines and C + A e^{i theta(t)} on arcs, then one
+    contraction (len(ts), B, m) @ (m, d*d), or (len(ts), B, 2m) @ (2m, 4d^2)
+    in real form (below).  A step attempt takes one
     `omegas` call for its 12 stage times, then its stages are batched matmuls
     with the state (`_LinearDOP853`); `rhs(t, y)` serves only scipy's two
     start-up evaluations.  The steps, the error rule, the step cap, the
     floors below and `nfev` (Omega evaluations) are those of scipy's own
-    DOP853.
+    DOP853.  A TransportError is raised before the first step when Omega at
+    t = 0 or scipy's first step is not finite.
+
+    Real form: a state of at most SMALL_STATE (W) complex entries is carried
+    as the real (B, 2d, c) stack [Re Y; Im Y] under R(Omega) =
+    [[Re Omega, -Im Omega], [Im Omega, Re Omega]] (`Connection.contract_real`,
+    one real product), since stacks of tiny complex matrices cost ~3x their
+    real equivalent per matmul.  Larger states stay complex.
 
     Step cap: the smallest of the members' caps, 0.5 x (the piece's own
-    clearance from the divisor) / speed, so no member's step can skip a pole.
+    clearance from the divisor) / speed, so no member's step can skip a pole;
+    a sub-piece has 1/cuts of its piece's speed and at least its clearance.
 
     Error rule: the local tolerances sit two orders below `tol` for one
-    member and are divided by sqrt(B) for a batch (floors 3e-14 and 1e-14).
-    scipy accepts a step when the RMS of err / scale over all B*d*c entries is
-    at most 1; with scale / sqrt(B) that RMS is the 2-norm of the members' own
-    RMS values, at least the largest of them, so every member keeps the local
-    error bound a solve of its piece alone would accept, until a floor binds:
-    for B > B_floor = (tol / 1e-11)^2 (atol) or (tol / 3e-12)^2 (rtol), 100
-    and 1,111 members at tol 1e-10, a member's local error may exceed that
-    bound by up to sqrt(B / B_floor).  (DOP853 multiplies that RMS by one
-    damping factor <= 1 from its third-order estimate, which a batch takes
-    over all members rather than per member.)
+    member and are divided by sqrt(B) for a batch of B members, sub-pieces
+    counted (floors 3e-14 and 1e-14).  scipy accepts a step when the RMS of
+    err / scale over all state entries is at most 1; with scale / sqrt(B)
+    that RMS is the 2-norm of the members' own RMS values, at least the
+    largest of them, so every member keeps the local error bound a solve of
+    it alone would accept, until a floor binds: for B > B_floor =
+    (tol / 1e-11)^2 (atol) or (tol / 3e-12)^2 (rtol), 100 and 1,111 members
+    at tol 1e-10, a member's local error may exceed that bound by up to
+    sqrt(B / B_floor).  `transports` cuts pieces only while B stays within
+    the smaller floor, (tol / 1e-11)^2.  In real form the RMS runs over the
+    real and imaginary parts with a scale each, so a member's complex RMS may
+    reach sqrt(2) times its bound.  (DOP853 multiplies that RMS by one damping factor <= 1
+    from its third-order estimate, which a batch takes over all members
+    rather than per member.)
     """
-    b = len(pieces)
-    if b == 0:
+    if len(pieces) == 0:
         return starts
-    origin = np.zeros((b, conn.ambient), dtype=complex)
+    origin = np.zeros((len(pieces), conn.ambient), dtype=complex)
     drift = np.zeros_like(origin)
     amplitude = np.zeros_like(origin)
-    theta0, sweep = np.zeros(b), np.zeros(b)
+    theta0, sweep = np.zeros(len(pieces)), np.zeros(len(pieces))
     for k, (piece, _) in enumerate(pieces):
         if isinstance(piece, ArcSegment):
             origin[k], amplitude[k] = piece.center, piece.amplitude
             theta0[k], sweep[k] = piece.theta0, piece.theta1 - piece.theta0
         else:
             origin[k], drift[k] = piece.start_point, piece.end_point - piece.start_point
+    if cuts is None:
+        cuts = [1] * len(pieces)
+    else:
+        # sub-piece j of a piece cut in n runs over [j / n, (j + 1) / n]
+        cut = np.asarray(cuts)
+        of = np.repeat(np.arange(len(pieces)), cut)
+        n = cut[of]
+        lead = (np.arange(len(of)) - np.repeat(np.cumsum(cut) - cut, cut)) / n
+        origin, drift = origin[of] + lead[:, None] * drift[of], drift[of] / n[:, None]
+        amplitude = amplitude[of]
+        theta0, sweep = theta0[of] + lead * sweep[of], sweep[of] / n
     spin = 1j * sweep[:, None]
-    shape = starts.shape
+    d = conn.dim
+    real = starts.size <= SMALL_STATE
+    contract = conn.contract_real if real else conn.contract
+    state = np.concatenate([starts.real, starts.imag], axis=1) if real else starts
+    shape = state.shape
+    closest = min(c for _, c in pieces)
 
     def omegas(ts):
-        """Omega of every member at every time in ts: (len(ts), B, d, d)."""
+        """Omega of every member at every time in ts: (len(ts), B, d, d), or
+        its real form (len(ts), B, 2d, 2d)."""
         ts = np.asarray(ts)[:, None, None]
         turn = amplitude * np.exp(1j * (theta0 + ts[..., 0] * sweep))[..., None]
-        return conn.contract(origin + ts * drift + turn, drift + spin * turn)
+        return contract(origin + ts * drift + turn, drift + spin * turn)
 
     def rhs(t, y):
         return np.matmul(omegas([t])[0], y.reshape(shape)).reshape(-1)
 
-    root_b = np.sqrt(b)
+    if not np.isfinite(omegas(np.zeros(1))).all():
+        raise TransportError("Omega is not finite at the start of a piece", closest)
+    root_b = np.sqrt(len(state))
     sol = solve_ivp(
         rhs,
         (0.0, 1.0),
-        starts.reshape(-1),
+        state.reshape(-1),
         method=_LinearDOP853,
         rtol=max(tol * 1e-2 / root_b, 3e-14),
         atol=max(tol * 1e-3 / root_b, 1e-14),
-        max_step=min(_segment_step_cap(piece, c) for piece, c in pieces),
+        max_step=min(_segment_step_cap(piece, c * k) for (piece, c), k in zip(pieces, cuts)),
         omegas=omegas,
         shape=shape,
     )
     if not sol.success:
-        raise TransportError(f"integrator failed: {sol.message}", min(c for _, c in pieces))
-    return sol.y[:, -1].reshape(shape)
+        raise TransportError(f"integrator failed: {sol.message}", closest)
+    end = sol.y[:, -1].reshape(shape)
+    return end[:, :d] + 1j * end[:, d:] if real else end
 
 
 def integrate_along(paths, conn: Connection, y0s, tol: float) -> list[np.ndarray]:
@@ -519,15 +597,30 @@ def transports(conn: Connection, paths, tol: float = 1e-10) -> list[np.ndarray]:
     """Path-ordered exponentials: F at each path end with F(start) = I.
 
     Every piece of every path is transported from I in one `_solve`, and each
-    path's F is the product F_P ... F_1 of its pieces' transports."""
+    path's F is the product F_P ... F_1 of its pieces' transports (Chen's
+    multiplicativity).  Each piece is cut into ceil(length / clearance) equal
+    sub-pieces that join the batch, so every member is short against its
+    distance from the divisor and the batch takes a few wide steps instead of
+    many narrow ones; but only while the cut batch stays within SMALL_STATE
+    (W) complex entries and within B_floor = (tol / 1e-11)^2 members, where
+    neither tolerance floor of `_solve` binds (100 at tol 1e-10), so cutting
+    loosens no member's error bound.  Otherwise every piece stays whole."""
     plans = _plan(conn, paths, tol)
-    eye = np.eye(conn.dim, dtype=complex)
+    d = conn.dim
+    counts = [[max(1, math.ceil(piece.max_speed() / c)) for piece, c in plan] for plan in plans]
+    members = sum(map(sum, counts))
+    wide = members * d * d <= SMALL_STATE and members <= (tol / 1e-11) ** 2
+    if not wide:
+        counts = [[1] * len(plan) for plan in plans]
+        members = sum(map(len, plans))
+    eye = np.eye(d, dtype=complex)
     flat = [pair for plan in plans for pair in plan]
-    ends = iter(_solve(conn, flat, np.broadcast_to(eye, (len(flat),) + eye.shape), tol))
+    cuts = [k for plan in counts for k in plan] if wide else None
+    ends = iter(_solve(conn, flat, np.broadcast_to(eye, (members, d, d)), tol, cuts))
     out = []
-    for plan in plans:
+    for plan in counts:
         f = eye
-        for _ in plan:
+        for _ in range(sum(plan)):
             f = next(ends) @ f
         out.append(f)
     return out

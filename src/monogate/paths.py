@@ -10,6 +10,8 @@ polygon/circle composite, which keeps distance-to-divisor bounds analytic.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +52,7 @@ def _point_to_segment_distance(a: complex, b: complex, s: complex) -> float:
     L2 = abs(d) ** 2
     if L2 == 0.0:
         return abs(a - s)
-    t = np.clip(((s - a) * np.conj(d)).real / L2, 0.0, 1.0)
+    t = min(max(((s - a) * d.conjugate()).real / L2, 0.0), 1.0)
     return abs(a + t * d - s)
 
 
@@ -62,16 +64,16 @@ def _point_to_arc_distance(c: complex, rho: complex, t0: float, t1: float, s: co
     w = s - c
     if abs(w) > 0.0:
         # Angle of the closest point on the full circle.
-        theta_star = float(np.angle(w / rho))
+        theta_star = cmath.phase(w / rho)
         lo, hi = min(t0, t1), max(t0, t1)
         # Is theta_star + 2 pi k inside the sweep for some integer k?
-        k_min = np.ceil((lo - theta_star) / (2 * np.pi))
-        if theta_star + 2 * np.pi * k_min <= hi + 1e-15:
+        k_min = math.ceil((lo - theta_star) / (2 * math.pi))
+        if theta_star + 2 * math.pi * k_min <= hi + 1e-15:
             return abs(abs(w) - r)
     else:
         return r
-    e0 = c + rho * np.exp(1j * t0)
-    e1 = c + rho * np.exp(1j * t1)
+    e0 = c + rho * cmath.exp(1j * t0)
+    e1 = c + rho * cmath.exp(1j * t1)
     return min(abs(e0 - s), abs(e1 - s))
 
 

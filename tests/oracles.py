@@ -31,6 +31,9 @@ and slower route, so tests can compare the two:
 * `sequential_integrate`: the column-block transport of one path with one
   DOP853 solve per graded piece, each started from the last one's end,
   against `fuchsian`'s batched solves (`transports`, `integrate_along`).
+* `numpy_point_to_segment_distance` and `numpy_point_to_arc_distance`: the
+  clearance formulas of lines and arcs through numpy's scalar functions,
+  against `paths`'s plain-Python ones.
 * `closure_levels_reference`: the breadth-first projective closure with one
   matmul, one `dedup_key` and one set probe per product, against
   `universality._closure_levels`'s stacked products and keys per frontier
@@ -519,3 +522,32 @@ def sequential_integrate(path, conn, y0, tol: float) -> np.ndarray:
                 raise TransportError(f"integrator failed: {sol.message}", piece_clearance)
             state = sol.y[:, -1]
     return state.reshape(y0.shape)
+
+
+def numpy_point_to_segment_distance(a: complex, b: complex, s: complex) -> float:
+    """Distance from s to the straight segment [a, b] in C."""
+    d = b - a
+    L2 = abs(d) ** 2
+    if L2 == 0.0:
+        return abs(a - s)
+    t = np.clip(((s - a) * np.conj(d)).real / L2, 0.0, 1.0)
+    return abs(a + t * d - s)
+
+
+def numpy_point_to_arc_distance(c: complex, rho: complex, t0: float, t1: float, s: complex) -> float:
+    """Distance from s to the arc c + rho * e^{i theta}, theta from t0 to t1."""
+    r = abs(rho)
+    if r == 0.0:
+        return abs(c - s)
+    w = s - c
+    if abs(w) > 0.0:
+        theta_star = float(np.angle(w / rho))
+        lo, hi = min(t0, t1), max(t0, t1)
+        k_min = np.ceil((lo - theta_star) / (2 * np.pi))
+        if theta_star + 2 * np.pi * k_min <= hi + 1e-15:
+            return abs(abs(w) - r)
+    else:
+        return r
+    e0 = c + rho * np.exp(1j * t0)
+    e1 = c + rho * np.exp(1j * t1)
+    return min(abs(e0 - s), abs(e1 - s))

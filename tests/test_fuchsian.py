@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from monogate.fuchsian import (
@@ -206,46 +211,52 @@ def near_pole_loop(h, detour=None):
     return PiecewisePath((*way_in, circle, *way_out))
 
 
-def test_near_pole_cost_grows_like_log(monkeypatch):
+def count_omega_evaluations(monkeypatch):
+    """One entry per evaluation of the form weights, which every Omega
+    evaluation, complex (`contract`) or real (`contract_real`), starts from."""
     calls = []
-    contract = PointsConnection.contract
+    weights = DifferenceForms.weights
 
     def counted(self, z, v):
         calls.append(None)
-        return contract(self, z, v)
+        return weights(self, z, v)
 
-    monkeypatch.setattr(PointsConnection, "contract", counted)
+    monkeypatch.setattr(DifferenceForms, "weights", counted)
+    return calls
+
+
+def test_near_pole_cost_grows_like_log(monkeypatch):
+    calls = count_omega_evaluations(monkeypatch)
     conn = PointsConnection((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
     evals = {}
     for h in (1e-2, 1e-4, 1e-6):
         calls.clear()
         m = transport(conn, near_pole_loop(h), 1e-10)
         evals[h] = len(calls)
-    assert evals[1e-4] <= 3 * evals[1e-2], evals
+    # at h = 1e-2 the pieces are cut to their clearance, which is cheaper
+    # still; from h = 1e-4 on the batch is too large to cut, and 100 times
+    # closer costs at most 3 times more
+    assert evals[1e-2] <= evals[1e-4] and evals[1e-6] <= 3 * evals[1e-4], evals
     assert abs(m[0, 0] - np.exp(2j * np.pi * 0.3)) <= 1e-10
 
 
 def test_uniform_clearance_segments_are_single_solves(monkeypatch):
-    # a d = 1 solve's state holds one entry per piece
-    pieces = []
-    solve_ivp = fuchsian.solve_ivp
-
-    def counted(fun, t_span, y0, **kwargs):
-        pieces.append(len(y0))
-        return solve_ivp(fun, t_span, y0, **kwargs)
-
-    monkeypatch.setattr(fuchsian, "solve_ivp", counted)
+    calls = record_solves(monkeypatch)
     conn = PointsConnection((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
     # the six uniform-clearance segments of both standard loops are whole
-    # pieces, and all of them share one batched solve
-    monodromy_representation(conn, x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25), 1e-10)
-    assert pieces == [6]
-    pieces.clear()
+    # pieces, each cut to its clearance, and all of them share one batched
+    # solve
+    loops = x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25)
+    monodromy_representation(conn, loops, 1e-10)
+    pieces = planned_pieces(conn, loops)
+    assert len(pieces) == 6
+    assert [c.members for c in calls] == [sum(k for *_, k in pieces)]
+    calls.clear()
     # the near-pole line is graded into a bounded number of pieces, still
     # one solve
     transport(conn, near_pole_loop(1e-6), 1e-10)
-    assert len(pieces) == 1
-    assert 3 < pieces[0] < 200
+    assert len(calls) == 1
+    assert 3 < calls[0].members < 200
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -566,11 +577,16 @@ def random_block(rng, rows, cols):
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4))
 def test_batched_transport_matches_the_per_piece_solves_on_standard_loops(seed, d):
+    # `transports` cuts every piece to its clearance here, in real form
     rng = np.random.default_rng(seed)
     conn = sum_free_connection(rng, d)
     loops = standard_loops(conn)
     eye = np.eye(d, dtype=complex)
-    for got, loop in zip(fuchsian.transports(conn, loops, 1e-10), loops):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_solves(mp)
+        ends = fuchsian.transports(conn, loops, 1e-10)
+    assert [(c.members, c.real) for c in calls] == [(sum(k for *_, k in planned_pieces(conn, loops)), True)]
+    for got, loop in zip(ends, loops):
         assert frobenius(got - sequential_integrate(loop, conn, eye, 1e-10)) <= 1e-9
     y0 = random_block(rng, d, 2)
     for got, loop in zip(fuchsian.integrate_along(loops, conn, [y0] * len(loops), 1e-10), loops):
@@ -607,21 +623,95 @@ def test_batched_half_twists_match_the_per_piece_solves(n, lam):
         assert frobenius(got - sequential_integrate(path, conn, eye, 1e-10)) <= 1e-9
 
 
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), log_h=st.floats(-6.0, -1.0))
+@example(seed=1, d=2, log_h=-1.5)  # cut: 39 members
+@example(seed=2, d=3, log_h=-5.0)  # whole: 31 pieces
+def test_cut_near_pole_loops_match_the_per_piece_solves(seed, d, log_h):
+    # a loop past a pole at h is cut while its graded pieces' cuts stay
+    # within B_floor = (tol / 1e-11)^2 = 100 members, and solved whole beyond
+    rng = np.random.default_rng(seed)
+    conn = PointsConnection((0.0, 1.0), [0.3 * g / np.linalg.norm(g) for g in
+                                          (random_block(rng, d, d) for _ in range(2))])
+    loop = near_pole_loop(10.0 ** log_h)
+    pieces = planned_pieces(conn, [loop])
+    members = sum(k for *_, k in pieces)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_solves(mp)
+        (got,) = fuchsian.transports(conn, [loop], 1e-10)
+    assert [c.members for c in calls] == [members if members <= 100 else len(pieces)]
+    assert frobenius(got - sequential_integrate(loop, conn, np.eye(d, dtype=complex), 1e-10)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(lam=st.floats(4.5, 9.5))
+def test_half_twists_are_cut_below_the_state_bound_only(n, lam):
+    # each half-twist is 3 x its clearance long; n - 1 of them are cut and
+    # real up to n = 5 (at most 12 x 10^2 entries), whole and complex at
+    # n = 7 (6 x 35^2 = 7,350 > W entries)
+    conn = build_kz([SpinModule(0.5)] * n, lam)._hw_connection
+    twists = [braid_word_path(n, [i]) for i in range(1, n)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_solves(mp)
+        ends = fuchsian.transports(conn, twists, 1e-10)
+    cut = n < 7
+    assert [(c.members, c.real) for c in calls] == [((n - 1) * (3 if cut else 1), cut)]
+    eye = np.eye(conn.dim, dtype=complex)
+    for got, path in zip(ends, twists):
+        assert frobenius(got - sequential_integrate(path, conn, eye, 1e-10)) <= 1e-9
+
+
+def test_batches_over_the_state_bound_or_the_floor_stay_whole(monkeypatch):
+    # cut, the four loops' 12 pieces make sum ceil(length / clearance) > 12
+    # members; at d = 8 those hold more than W = 4,096 entries and at
+    # tol 1e-11 they are more than B_floor = 1, so the pieces stay whole.
+    # A whole state within W entries is still real; one past W is complex.
+    calls = record_solves(monkeypatch)
+    for d, tol, real in ((8, 1e-10, True), (19, 1e-10, False), (1, 1e-11, True)):
+        conn = sum_free_connection(np.random.default_rng(d), d)
+        loops = standard_loops(conn)
+        calls.clear()
+        fuchsian.transports(conn, loops, tol)
+        members = sum(k for *_, k in planned_pieces(conn, loops))
+        assert members * d * d > fuchsian.SMALL_STATE or members > (tol / 1e-11) ** 2
+        assert [(c.members, c.entries, c.real) for c in calls] == [(12, 12 * d * d, real)]
+
+
+class Solve(NamedTuple):
+    members: int  # rows of the batch: pieces, or sub-pieces when cut
+    entries: int  # complex entries of the state
+    real: bool  # carried as [Re Y; Im Y]
+    rtol: float
+    atol: float
+    max_step: float
+
+
 def record_solves(monkeypatch):
-    """(state size, rtol, atol, max_step) of every solve `fuchsian` makes."""
+    """A `Solve` record of every solve `fuchsian` makes."""
     calls = []
     solve_ivp = fuchsian.solve_ivp
 
     def recording(fun, t_span, y0, **kwargs):
-        calls.append((len(y0), kwargs["rtol"], kwargs["atol"], kwargs["max_step"]))
+        real = np.isrealobj(y0)
+        calls.append(Solve(kwargs["shape"][0], len(y0) // 2 if real else len(y0), real,
+                           kwargs["rtol"], kwargs["atol"], kwargs["max_step"]))
         return solve_ivp(fun, t_span, y0, **kwargs)
 
     monkeypatch.setattr(fuchsian, "solve_ivp", recording)
     return calls
 
 
+def planned_pieces(conn, paths, tol=1e-10):
+    """(piece, clearance, ceil(length / clearance)) of every planned piece."""
+    return [(piece, c, int(np.ceil(piece.max_speed() / c)))
+            for plan in fuchsian._plan(conn, paths, tol) for piece, c in plan]
+
+
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
 def test_batch_tolerances_scale_with_one_over_root_batch(monkeypatch, tol):
+    # B counts the members of the batch: the sub-pieces where the pieces are
+    # cut (tol 1e-8, 1e-10), the pieces where they are not (tol 1e-13)
     calls = record_solves(monkeypatch)
     conn = sum_free_connection(np.random.default_rng(5), 2)
     loops = standard_loops(conn)
@@ -629,34 +719,48 @@ def test_batch_tolerances_scale_with_one_over_root_batch(monkeypatch, tol):
     fuchsian.transports(conn, [circle], tol)
     fuchsian.transports(conn, loops, tol)
     fuchsian.transports(conn, loops[:1], tol)
-    for (size, rtol, atol, _), batch in zip(calls, (1, 12, 3)):
-        assert size == batch * 4
-        assert rtol == max(tol * 1e-2 / np.sqrt(batch), 3e-14)
-        assert atol == max(tol * 1e-3 / np.sqrt(batch), 1e-14)
+    cut = tol > 1e-11
+    for call, paths in zip(calls, ([circle], loops, loops[:1])):
+        pieces = planned_pieces(conn, paths, tol)
+        batch = sum(k for *_, k in pieces) if cut else len(pieces)
+        assert call.members == batch and call.entries == batch * 4
+        assert call.rtol == max(tol * 1e-2 / np.sqrt(batch), 3e-14)
+        assert call.atol == max(tol * 1e-3 / np.sqrt(batch), 1e-14)
 
 
 def test_batch_step_cap_is_the_smallest_member_cap(monkeypatch):
+    # at tol 1e-12 no piece is cut, and each member's cap is its piece's
     calls = record_solves(monkeypatch)
     conn = PointsConnection((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
     near = near_pole_loop(1e-3)
     far = x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25)
-    fuchsian.transports(conn, far, 1e-10)
-    fuchsian.transports(conn, [near], 1e-10)
-    fuchsian.transports(conn, [near, *far], 1e-10)
-    assert calls[2][3] == min(calls[0][3], calls[1][3])
+    fuchsian.transports(conn, far, 1e-12)
+    fuchsian.transports(conn, [near], 1e-12)
+    fuchsian.transports(conn, [near, *far], 1e-12)
+    assert [c.members for c in calls] == [6, calls[1].members, 6 + calls[1].members]
+    assert calls[2].max_step == min(calls[0].max_step, calls[1].max_step)
 
 
 def test_monodromy_command_is_one_solve_of_twelve_pieces(tmp_path, monkeypatch, capsys):
+    # the twelve pieces of four standard loops are one solve, each piece cut
+    # into ceil(length / clearance) members; a member's cap is 0.5 x
+    # clearance / its own speed, length / cuts, at least 0.5
     calls = record_solves(monkeypatch)
     for d in (1, 3):
         conn = sum_free_connection(np.random.default_rng(d), d)
+        loops = standard_loops(conn)
         (tmp_path / "conn.json").write_text(json.dumps(connection_to_json(conn)))
-        (tmp_path / "loops.json").write_text(json.dumps(loops_to_json(standard_loops(conn))))
+        (tmp_path / "loops.json").write_text(json.dumps(loops_to_json(loops)))
         calls.clear()
         assert cli.main(["fuchsian", "monodromy", "--conn", str(tmp_path / "conn.json"),
                          "--loops", str(tmp_path / "loops.json")]) == 0
         capsys.readouterr()
-        assert [size for size, *_ in calls] == [12 * d * d]
+        pieces = planned_pieces(conn, loops)
+        members = sum(k for *_, k in pieces)
+        assert len(pieces) == 12 and members > 12
+        assert [(c.members, c.entries, c.real) for c in calls] == [(members, members * d * d, True)]
+        caps = [min(1.0, 0.5 * c * k / piece.max_speed()) for piece, c, k in pieces]
+        assert calls[0].max_step == min(caps) >= 0.5
 
 
 @pytest.mark.parametrize("m, order, d", [(2, 3, 2), (3, 4, 1)])
@@ -671,7 +775,7 @@ def test_jet_blocks_are_not_widened(monkeypatch, m, order, d):
                                         for _ in range(m)))
     jets = jet_monodromy(fam, loops, order, 1e-10)
     assert [len(j) for j in jets] == [order] * m
-    assert [size for size, *_ in calls] == [m * (order + 1) * d * d] * 3
+    assert [(c.members, c.entries) for c in calls] == [(m, m * (order + 1) * d * d)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -751,29 +855,80 @@ def test_batched_stepper_takes_the_stock_steps_on_jets(monkeypatch):
 
 
 def test_one_contraction_per_step_attempt(monkeypatch):
-    # the 12 stage connections of an attempt are one `contract` call; only
-    # scipy's two start-up evaluations are single
-    runs = twin_solves(monkeypatch)
+    # the 12 stage connections of an attempt are one Omega evaluation; only
+    # scipy's two start-up evaluations are single.  The first batch is too
+    # large to cut and has rejected attempts, the second is cut.
+    evaluations = count_omega_evaluations(monkeypatch)
+    runs = []
+    solve_ivp = fuchsian.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        evaluations.clear()
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        runs.append((sol, len(evaluations), kwargs["shape"][0]))
+        return sol
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", counted)
     conn = sum_free_connection(np.random.default_rng(6), 2)
-    fuchsian.transports(conn, [near_pole_loop(1e-3), *standard_loops(conn)], 1e-10)
-    ((_, used, stock),) = runs
-    assert rejected_attempts(stock) > 0
-    assert used == 2 + (stock.nfev - 2) // 12
+    paths = [near_pole_loop(1e-3), *standard_loops(conn)]
+    fuchsian.transports(conn, paths, 1e-10)
+    fuchsian.transports(conn, paths[1:], 1e-10)
+    (whole, used, pieces), (cut, cut_used, members) = runs
+    assert pieces == len(planned_pieces(conn, paths)) and members > 12
+    assert rejected_attempts(whole) > 0
+    for sol, n in ((whole, used), (cut, cut_used)):
+        assert sol.status == 0
+        assert n == 2 + (sol.nfev - 2) // 12
 
 
-class _NaNRightOfHalf(PointsConnection):
-    """Omega is NaN where Re z > 0.5."""
+class _NaNRightOfHalf(DifferenceForms):
+    """Forms whose weights, and so Omega, are NaN where Re z > 0.5."""
 
-    def contract(self, z, v):
-        omega = super().contract(z, v)
-        return np.where((z[..., :1].real > 0.5)[..., None], np.nan, omega)
+    def weights(self, z, v):
+        return np.where(z[..., :1].real > 0.5, np.nan, super().weights(z, v))
+
+
+def run_python(args, timeout=60):
+    """Run `python args` on this checkout's package; a hang fails by timeout."""
+    src = str(Path(fuchsian.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "ignore"}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "1e-12"])
+def test_omega_overflowing_at_a_piece_start_exits_2(tmp_path, tol):
+    # the 1e308 residue overflows Omega to inf on the circle around pole 0
+    # and inf * 0 gives NaN; at tol 1e-10 the pieces are cut and real, at
+    # 1e-12 they are whole and the circle starts at an infinite Omega
+    conn = PointsConnection((0.0, 1.0), (np.array([[1e308, 1.0], [0.0, 1.0]]), np.eye(2)))
+    (tmp_path / "conn.json").write_text(json.dumps(connection_to_json(conn)))
+    loops = x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, 0.25)
+    (tmp_path / "loops.json").write_text(json.dumps(loops_to_json(loops)))
+    proc = run_python(["-m", "monogate.cli", "fuchsian", "monodromy", "--conn", str(tmp_path / "conn.json"),
+                       "--loops", str(tmp_path / "loops.json"), "--tol", tol])
+    assert proc.returncode == 2, proc.stderr
+    assert "numerical failure" in proc.stderr
+
+
+def test_a_nan_first_step_fails_the_solve():
+    # scipy's start-up step from a NaN rate is NaN, and every attempt at a
+    # NaN step would be rejected without end
+    proc = run_python(["-c", "\n".join([
+        "import numpy as np",
+        "from monogate import fuchsian",
+        "sol = fuchsian.solve_ivp(lambda t, y: np.full(1, np.nan), (0.0, 1.0), np.ones(1),",
+        "    method=fuchsian._LinearDOP853, omegas=lambda ts: np.full((len(ts), 1, 1, 1), np.nan),",
+        "    shape=(1, 1, 1), rtol=1e-12, atol=1e-13, max_step=1.0)",
+        "print(sol.status, sol.message)",
+    ])])
+    assert proc.stdout.strip() == "-1 the first step is not finite", proc.stderr
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_nan_connection_is_a_transport_error(monkeypatch):
     # past Re z = 0.5 every attempt is rejected until the step underflows
     runs = twin_solves(monkeypatch)
-    conn = _NaNRightOfHalf((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))
+    conn = Connection(_NaNRightOfHalf((0.0, 1.0)), (np.array([[0.3]]), np.array([[-0.3]])))
     line = PiecewisePath((LineSegment(np.array([0.0 - 1.0j]), np.array([1.0 - 1.0j])),))
     with pytest.raises(TransportError, match="step size"):
         transport(conn, line, 1e-10)

@@ -322,51 +322,56 @@ def test_full_twist_from_the_gate_matches_the_full_space_transport(sys3):
         assert frobenius(twist - full) < 1e-9
 
 
+def record_solve_shapes(monkeypatch):
+    """(members, rows, columns) of every solve `fuchsian` makes, rows counted
+    in complex entries (a real-form state holds Re and Im rows)."""
+    shapes = []
+    solve = fuchsian.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        b, rows, cols = kwargs["shape"]
+        shapes.append((b, rows // 2 if np.isrealobj(y0) else rows, cols))
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "solve_ivp", recording)
+    return shapes
+
+
 def test_braid_gates_are_solved_in_the_multiplicity_space(monkeypatch, capsys):
     # a half-twist is solved on a sum_j mu_j = C(n, n/2) square state, not
     # on a 2^n square one, and the n - 1 generators share one solve of
     # (n - 1) mu^2 entries; kz verify adds one solve for the second arcs of
-    # all n - 1 full twists, 2 solves in all
-    sizes = []
-    solve = fuchsian.solve_ivp
-
-    def recording(fun, t_span, y0, **kwargs):
-        sizes.append(len(y0))
-        return solve(fun, t_span, y0, **kwargs)
-
-    monkeypatch.setattr(fuchsian, "solve_ivp", recording)
+    # all n - 1 full twists, 2 solves in all.  A half-twist alone is small
+    # enough to be cut into ceil(length / clearance) = 3 members.
+    shapes = record_solve_shapes(monkeypatch)
     for n, mu in [(6, 20), (7, 35)]:
-        sizes.clear()
+        shapes.clear()
         braid_matrix(build_kz([HALF] * n, 7.5), 1)
-        assert sizes == [mu * mu]
-        sizes.clear()
+        assert shapes == [(3, mu, mu)]
+        shapes.clear()
         kz.braid_matrices(build_kz([HALF] * n, 7.5), range(1, n))
-        assert sizes == [(n - 1) * mu * mu]
-    sizes.clear()
+        assert shapes == [(n - 1, mu, mu)]
+    shapes.clear()
     assert cli.main(["kz", "verify", "--n", "6", "--lambda", "7.5"]) == 0
     capsys.readouterr()
-    assert sizes == [5 * 20 * 20] * 2
+    assert shapes == [(5, 20, 20)] * 2
 
 
 def test_kz_braid_unitarize_assembles_no_product_basis_gate(monkeypatch, capsys):
     # the half-twists are one solve; the only assembly on the tensor product
     # is the invariant form's
-    solves, assembled = [], []
-    solve, from_hw_blocks = fuchsian.solve_ivp, kz._from_hw_blocks
-
-    def recording_solve(fun, t_span, y0, **kwargs):
-        solves.append(len(y0))
-        return solve(fun, t_span, y0, **kwargs)
+    assembled = []
+    solves = record_solve_shapes(monkeypatch)
+    from_hw_blocks = kz._from_hw_blocks
 
     def recording_assembly(sys, blocks):
         assembled.append(blocks)
         return from_hw_blocks(sys, blocks)
 
-    monkeypatch.setattr(fuchsian, "solve_ivp", recording_solve)
     monkeypatch.setattr(kz, "_from_hw_blocks", recording_assembly)
     assert cli.main(["kz", "braid", "--n", "6", "--lambda", "7.5", "--unitarize"]) == 0
     capsys.readouterr()
-    assert solves == [5 * 20 * 20]
+    assert solves == [(5, 20, 20)]
     assert len(assembled) == 1
     form = assembled[0]
     assert form.shape == (20, 20)

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monogate.paths import (
     ArcSegment,
@@ -19,7 +21,16 @@ from monogate.paths import (
     pure_braid_word,
     segment_log_increment,
 )
-from oracles import invert, min_divisor_distance, permutation_of_word, sample_path, winding_number
+from monogate.paths import _point_to_arc_distance, _point_to_segment_distance
+from oracles import (
+    invert,
+    min_divisor_distance,
+    numpy_point_to_arc_distance,
+    numpy_point_to_segment_distance,
+    permutation_of_word,
+    sample_path,
+    winding_number,
+)
 
 
 def sampled_divisor_distance(path, divisor, per_segment=2000):
@@ -171,6 +182,30 @@ def test_loop_clearance_analytic_matches_sampled():
     assert analytic <= sampled + 1e-9
     assert abs(analytic - sampled) < 1e-3
     assert analytic >= 0.05  # default clearance
+
+
+coordinates = st.floats(-4.0, 4.0, allow_subnormal=False)
+points = st.builds(complex, coordinates, coordinates)
+angles = st.floats(-4 * np.pi, 4 * np.pi, allow_subnormal=False)
+
+
+def within_an_ulp(got: float, want: float) -> bool:
+    return abs(got - want) <= math.ulp(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(a=points, b=points, s=points)
+def test_segment_clearance_matches_the_numpy_formula(a, b, s):
+    assert within_an_ulp(_point_to_segment_distance(a, b, s), numpy_point_to_segment_distance(a, b, s))
+    assert within_an_ulp(_point_to_segment_distance(a, a, s), numpy_point_to_segment_distance(a, a, s))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(c=points, rho=points, t0=angles, t1=angles, s=points)
+def test_arc_clearance_matches_the_numpy_formula(c, rho, t0, t1, s):
+    for centre, point in ((c, s), (c, c)):
+        got = _point_to_arc_distance(centre, rho, t0, t1, point)
+        assert within_an_ulp(got, numpy_point_to_arc_distance(centre, rho, t0, t1, point))
 
 
 def test_braid_clearance_analytic_matches_sampled():
