@@ -2,10 +2,11 @@
 modules.
 
 Subcommands: gate, paths, fuchsian, synth, kz, universality, pipeline.
-Reports are JSON payloads embedding the resolved configuration; they are
-bit-identical across runs for a fixed seed.  Exit codes: 0 success, 1 input
-validation, 2 numerical failure (divisor contact, non-convergence), 3
-verification deviation above tolerance.
+Each handler `_cmd_*` returns (exit status, report body); `main` alone opens
+every report with its `command` and `config` and emits it once, as JSON or
+as indented text.  Reports are bit-identical across runs for a fixed seed.
+Exit codes: 0 success, 1 input validation, 2 numerical failure (divisor
+contact, non-convergence), 3 verification deviation above tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,12 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}") from exc
 
 
+def _command(args) -> str:
+    """The report's command name: the subcommand, then the value of its
+    `*_command` destination when it has one (`kz verify`)."""
+    return " ".join([args.command] + [v for k, v in vars(args).items() if k.endswith("_command")])
+
+
 def _config(args) -> dict:
     """The parsed options of the subcommand, in parser order: the namespace
     without the destinations that route to a handler."""
@@ -80,23 +88,22 @@ def _validate_args(args) -> None:
 
 
 def _render_text(obj, indent: int = 0) -> str:
+    """Indented `key: value` lines.  Every list item is marked `- `, and an
+    item that is itself a dict or a list starts on its marker's line; an
+    empty list is `[]`.  Tuples render as lists."""
     pad = "  " * indent
+    if isinstance(obj, tuple):
+        obj = list(obj)
+    if not isinstance(obj, (dict, list)) or not obj:
+        return f"{pad}{obj}"
+    if isinstance(obj, list):
+        return "\n".join(f"{pad}- " + _render_text(v, indent + 1)[len(pad) + 2:] for v in obj)
     lines = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-    else:
-        lines.append(f"{pad}{obj}")
+    for k, v in obj.items():
+        if isinstance(v, (dict, list, tuple)) and v:
+            lines += [f"{pad}{k}:", _render_text(v, indent + 1)]
+        else:
+            lines.append(f"{pad}{k}: {_render_text(v)}")
     return "\n".join(lines)
 
 
@@ -135,23 +142,19 @@ def _load_gateset(args) -> universality.GateSet:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers: each returns (exit status, report body).
 # ---------------------------------------------------------------------------
 
-def _cmd_gate(args) -> int:
+def _cmd_gate(args) -> tuple[int, dict]:
     gate = parse_gate_name(args.name)
-    report = {
-        "command": "gate",
-        "config": _config(args),
+    return EXIT_OK, {
         "qubits": gate.qubits,
         "unitarity_defect": unitarity_defect(gate.matrix),
         "matrix": matrix_to_json(gate.matrix),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> tuple[int, dict]:
     if args.paths_command == "braid":
         path = paths.braid_word_path(args.n, [args.i])
         payload = paths.path_to_json(path)
@@ -171,22 +174,14 @@ def _cmd_paths(args) -> int:
             punctures, _parse_complex(args.basepoint), args.radius
         )
         payload = paths.loops_to_json(loops)
-    report = {
-        "command": f"paths {args.paths_command}",
-        "config": _config(args),
-    }
-    report.update(payload)
-    _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK, payload
 
 
-def _cmd_fuchsian(args) -> int:
+def _cmd_fuchsian(args) -> tuple[int, dict]:
     conn = fuchsian.connection_from_json(_load_json(args.conn))
     loops = paths.loops_from_json(_load_json(args.loops))
     rep = fuchsian.monodromy_representation(conn, loops, tol=args.tol)
-    report = {
-        "command": "fuchsian monodromy",
-        "config": _config(args),
+    return EXIT_OK, {
         "labels": list(rep.labels),
         "basepoint": [complex_to_json(z) for z in rep.basepoint],
         "matrices": [matrix_to_json(m) for m in rep.matrices],
@@ -195,39 +190,32 @@ def _cmd_fuchsian(args) -> int:
             "unitarity_defects": [unitarity_defect(m) for m in rep.matrices],
         },
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[int, dict]:
     targets = ld.family_from_json(_load_json(args.targets))
     loops = paths.loops_from_json(_load_json(args.loops))
     points = tuple(_parse_complex(p) for p in args.points)
     reference = None if args.reference in (None, "inf") else _parse_complex(args.reference)
     forms = ld.DifferenceForms(points, reference=reference)
     family = ld.synthesize(targets, forms, loops, args.order, tol=args.tol)
-    report = {
-        "command": "synth",
-        "config": _config(args),
+    radius = family.radius_estimate()
+    body = {
         "family": ld.connection_family_to_json(family),
-        "radius_estimate": family.radius_estimate()
-        if np.isfinite(family.radius_estimate())
-        else None,
+        "radius_estimate": radius if np.isfinite(radius) else None,
     }
-    status = EXIT_OK
-    if args.verify:
-        verification = ld.verify_match(targets, family, args.lam, loops, tol=args.tol)
-        report["deviations"] = verification.as_dict()
-        if verification.max_deviation > args.verify_tol:
-            report["verdict"] = "deviation-above-tolerance"
-            status = EXIT_VERIFY
-        else:
-            report["verdict"] = "verified"
-    _emit(report, args)
-    return status
+    if not args.verify:
+        return EXIT_OK, body
+    verification = ld.verify_match(targets, family, args.lam, loops, tol=args.tol)
+    failed = verification.max_deviation > args.verify_tol
+    return EXIT_VERIFY if failed else EXIT_OK, {
+        **body,
+        "deviations": verification.as_dict(),
+        "verdict": "deviation-above-tolerance" if failed else "verified",
+    }
 
 
-def _cmd_kz(args) -> int:
+def _cmd_kz(args) -> tuple[int, dict]:
     sys_ = kz.build_kz([kz.SpinModule(args.spin) for _ in range(args.n)], args.lam)
     if args.kz_command == "braid":
         if args.unitarize:
@@ -235,18 +223,15 @@ def _cmd_kz(args) -> int:
             out_mats = res.matrices
         else:
             res, out_mats = None, kz.braid_matrices(sys_, range(1, args.n), tol=args.tol)
-        report = {
-            "command": "kz braid",
-            "config": _config(args),
+        body = {
             "gates": [
                 {"label": f"sigma_{i}", "matrix": matrix_to_json(m)}
                 for i, m in enumerate(out_mats, start=1)
             ],
         }
         if res is not None:
-            report["radical_dim"] = res.radical_dim
-        _emit(report, args)
-        return EXIT_OK
+            body["radical_dim"] = res.radical_dim
+        return EXIT_OK, body
     # kz verify
     blocks = kz._gate_blocks(sys_, range(1, args.n), args.tol)
     mats = [kz._from_hw_blocks(sys_, b) for b in blocks]
@@ -254,9 +239,9 @@ def _cmd_kz(args) -> int:
     fulls = kz._full_twists(sys_, blocks, args.tol)
     twist_devs = [float(np.linalg.norm(b @ b - full)) for b, full in zip(mats, fulls)]
     res = kz.unitarize_kz(sys_, mats)
-    report = {
-        "command": "kz verify",
-        "config": _config(args),
+    worst = max([relations.max_deviation] + twist_devs)
+    failed = worst > args.relation_tol or res.defect > 1e-8
+    return EXIT_VERIFY if failed else EXIT_OK, {
         "deviations": {
             "braid_relations": list(relations.braid_deviations),
             "far_commutation": list(relations.commutation_deviations),
@@ -265,43 +250,22 @@ def _cmd_kz(args) -> int:
         },
         "radical_dim": res.radical_dim,
         "quotient_dim": res.matrices[0].shape[0],
+        "verdict": "deviation-above-tolerance" if failed else "verified",
     }
-    worst = max([relations.max_deviation] + twist_devs)
-    if worst > args.relation_tol or res.defect > 1e-8:
-        report["verdict"] = "deviation-above-tolerance"
-        _emit(report, args)
-        return EXIT_VERIFY
-    report["verdict"] = "verified"
-    _emit(report, args)
-    return EXIT_OK
 
 
-def _cmd_universality(args) -> int:
+def _cmd_universality(args) -> tuple[int, dict]:
     gs = _load_gateset(args)
     if args.universality_command == "screen":
-        screen = universality.density_screen(gs, maxlen=args.maxlen, node_budget=args.budget)
-        report = {
-            "command": "universality screen",
-            "config": _config(args),
-            "labels": list(gs.labels),
-        }
-        report.update(screen.as_dict())
-        _emit(report, args)
-        return EXIT_OK
-    coverage = universality.epsilon_net_coverage(
-        gs, args.maxlen, args.eps, args.samples, seed=args.seed, node_budget=args.budget
-    )
-    report = {
-        "command": "universality coverage",
-        "config": _config(args),
-        "labels": list(gs.labels),
-    }
-    report.update(coverage.as_dict())
-    _emit(report, args)
-    return EXIT_OK
+        result = universality.density_screen(gs, maxlen=args.maxlen, node_budget=args.budget)
+    else:
+        result = universality.epsilon_net_coverage(
+            gs, args.maxlen, args.eps, args.samples, seed=args.seed, node_budget=args.budget
+        )
+    return EXIT_OK, {"labels": list(gs.labels), **asdict(result)}
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> tuple[int, dict]:
     """End-to-end: targets near identity -> synthesis -> forward verification
     -> density screen -> one verdict."""
     rng = np.random.default_rng(args.seed)
@@ -333,16 +297,12 @@ def _cmd_pipeline(args) -> int:
     else:
         verdict = "deviation-above-tolerance"
         status = EXIT_VERIFY
-    report = {
-        "command": "pipeline",
-        "config": _config(args),
+    return status, {
         "deviations": verification.as_dict(),
-        "screen": screen.as_dict(),
+        "screen": asdict(screen),
         "gates": [{"label": f"target_{j+1}", "matrix": matrix_to_json(g)} for j, g in enumerate(gates)],
         "verdict": verdict,
     }
-    _emit(report, args)
-    return status
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +434,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _validate_args(args)
-        return args.func(args)
+        status, body = args.func(args)
+        _emit({"command": _command(args), "config": _config(args), **body}, args)
+        return status
     except fuchsian.NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -51,7 +51,7 @@ from .fuchsian import (
     transports,
 )
 from .matrices import as_square_matrix, frobenius, unitarity_defect
-from .paths import PiecewisePath, braid_word_path, pure_braid_word
+from .paths import PiecewisePath, braid_word_path
 
 __all__ = [
     "SpinModule",
@@ -61,7 +61,6 @@ __all__ = [
     "two_point_transport_factor",
     "braid_matrix",
     "braid_matrices",
-    "braid_word_matrix",
     "unitarize_kz",
     "UnitarizationResult",
     "verify_braid_relations",
@@ -312,16 +311,6 @@ def _full_twists(sys: KZSystem, blocks, tol: float) -> list[np.ndarray]:
     return [_from_hw_blocks(sys, y) for y in integrate_along(seconds, sys._hw_connection, firsts, tol)]
 
 
-def braid_word_matrix(mats, word) -> np.ndarray:
-    """Evaluate a braid word on generator matrices, first letter acting first."""
-    dim = mats[0].shape[0]
-    out = np.eye(dim, dtype=complex)
-    for letter in word:
-        b = mats[abs(letter) - 1]
-        out = (b if letter > 0 else np.linalg.inv(b)) @ out
-    return out
-
-
 @dataclass(frozen=True)
 class UnitarizationResult:
     """Invariant positive semidefinite form H and the unitarized rep.
@@ -464,11 +453,10 @@ def unitarize_kz(sys: KZSystem, mats=None, tol: float = 1e-10) -> UnitarizationR
 
 @dataclass(frozen=True)
 class BraidRelationReport:
-    """Deviations from the braid-group relations and pure-braid unitarity."""
+    """Deviations from the braid-group relations."""
 
     braid_deviations: tuple[float, ...]
     commutation_deviations: tuple[float, ...]
-    pure_braid_unitarity: tuple[float, ...]
 
     @property
     def max_braid_deviation(self) -> float:
@@ -485,8 +473,7 @@ class BraidRelationReport:
 
 def verify_braid_relations(mats, n: int) -> BraidRelationReport:
     """Check sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1} and
-    far commutation on candidate generator matrices; also report how far the
-    induced pure-braid matrices tau_ij are from unitary."""
+    far commutation on candidate generator matrices."""
     mats = [as_square_matrix(m) for m in mats]
     if len(mats) != n - 1:
         raise ValueError(f"expected {n-1} generator matrices for n={n}")
@@ -498,9 +485,4 @@ def verify_braid_relations(mats, n: int) -> BraidRelationReport:
     for i in range(len(mats)):
         for j in range(i + 2, len(mats)):
             commutation.append(frobenius(mats[i] @ mats[j] - mats[j] @ mats[i]))
-    pure = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            tau = braid_word_matrix(mats, pure_braid_word(n, i, j))
-            pure.append(unitarity_defect(tau))
-    return BraidRelationReport(tuple(braid), tuple(commutation), tuple(pure))
+    return BraidRelationReport(tuple(braid), tuple(commutation))

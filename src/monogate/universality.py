@@ -139,15 +139,6 @@ class ScreenReport:
     saturated: bool
     budget_exhausted: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "max_commutator": self.max_commutator,
-            "closure_sizes": list(self.closure_sizes),
-            "saturated": self.saturated,
-            "budget_exhausted": self.budget_exhausted,
-        }
-
 
 def density_screen(gs: GateSet, maxlen: int = DEFAULT_MAXLEN,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> ScreenReport:
@@ -196,17 +187,6 @@ class CoverageReport:
     samples: int
     seed: int
     partial: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "words": self.words,
-            "maxlen": self.maxlen,
-            "eps": self.eps,
-            "samples": self.samples,
-            "seed": self.seed,
-            "partial": self.partial,
-        }
 
 
 def epsilon_net_coverage(gs: GateSet, maxlen: int, eps: float, samples: int,

@@ -42,14 +42,20 @@ and slower route, so tests can compare the two:
 The rest are helpers that only tests call, kept here rather than in the
 library:
 
+* braids: `braid_word_matrix` (a braid word evaluated on generator
+  matrices) and `pure_braid_unitarity` (the unitarity defects of the
+  induced pure-braid matrices tau_ij);
+
 * paths: `invert` (the reversed contour), `winding_number` (from the exact
   per-segment log increments), `min_divisor_distance` (analytic clearance of
   a whole path) and `permutation_of_word` (the permutation under a braid
   word);
 * connections: `as_points_connection` (the simple-pole form of a
   `Connection` on difference forms), `curvature_residual` (the commutator
-  [Omega(u), Omega(v)] at a point) and `chern_index` (the integer trace sum
-  of the residue logarithms of a monodromy representation);
+  [Omega(u), Omega(v)] at a point), `chern_index` (the integer trace sum
+  of the residue logarithms of a monodromy representation) and
+  `levelt_pair` (the residues at 0 and 1 of a hypergeometric connection,
+  whose monodromy Levelt's theorem gives in closed form);
 * synthesis: `series_residuals`, the per-order deviations of a synthesized
   family from its targets;
 * spin modules: `casimir_value`, the Casimir scalar 2 j (j + 1);
@@ -79,7 +85,14 @@ from monogate.gate_core import QuantumGate
 from monogate.kz import UnitarizationResult
 from monogate.lappo_danilevski import ConnectionFamily, jet_monodromy, matrix_chen_integral
 from monogate.matrices import as_square_matrix, frobenius, unitarity_defect
-from monogate.paths import ArcSegment, LineSegment, PiecewisePath, braid_word_path, segment_log_increment
+from monogate.paths import (
+    ArcSegment,
+    LineSegment,
+    PiecewisePath,
+    braid_word_path,
+    pure_braid_word,
+    segment_log_increment,
+)
 from monogate.universality import DEDUP_TOL
 
 TWO_PI_I = 2j * np.pi
@@ -331,6 +344,41 @@ def jimbo_braid_rep(n: int, q: complex) -> list[np.ndarray]:
         [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, q]], dtype=complex
     )
     return [np.kron(np.kron(np.eye(2 ** (i - 1)), r), np.eye(2 ** (n - i - 1))) for i in range(1, n)]
+
+
+def braid_word_matrix(mats, word) -> np.ndarray:
+    """Evaluate a braid word on generator matrices, first letter acting first."""
+    dim = mats[0].shape[0]
+    out = np.eye(dim, dtype=complex)
+    for letter in word:
+        b = mats[abs(letter) - 1]
+        out = (b if letter > 0 else np.linalg.inv(b)) @ out
+    return out
+
+
+def levelt_pair(alphas, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Residues (A_0, A_1) at 0 and 1 of a hypergeometric connection with
+    local exponents alphas at 0 and -betas at infinity.
+
+    A_0 = diag(alpha) and A_1 = u v^T with u = 1 and v_k = -prod_l (alpha_k -
+    beta_l) / prod_{l != k} (alpha_k - alpha_l), the partial-fraction weights
+    of prod (t - beta_l) / prod (t - alpha_l), so eig(A_0 + A_1) = beta.  The
+    alphas must be distinct."""
+    a = np.asarray(alphas, dtype=complex)
+    b = np.asarray(betas, dtype=complex)
+    v = np.array([
+        -np.prod(ak - b) / np.prod(np.delete(ak - a, k)) for k, ak in enumerate(a)
+    ])
+    return np.diag(a), np.outer(np.ones(len(a)), v)
+
+
+def pure_braid_unitarity(mats, n: int) -> list[float]:
+    """Unitarity defects of the pure-braid matrices tau_ij, i < j, that the
+    generator matrices induce."""
+    return [
+        unitarity_defect(braid_word_matrix(mats, pure_braid_word(n, i, j)))
+        for i, j in combinations(range(1, n + 1), 2)
+    ]
 
 
 # ---------------------------------------------------------------------------

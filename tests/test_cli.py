@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from monogate.cli import _validate_args, build_parser, main
+from monogate.cli import _render_text, _validate_args, build_parser, main
 from monogate.fuchsian import PointsConnection, connection_to_json
 from monogate.lappo_danilevski import RepresentationFamily, family_to_json
 from monogate.matrices import matrix_from_json, matrix_to_json
@@ -186,8 +186,7 @@ def test_fuchsian_monodromy_rejects_bad_connection_files(conn, tmp_path, capsys)
     assert out == ""
 
 
-def test_synth_verify_roundtrip(tmp_path, capsys):
-    from monogate.lappo_danilevski import RepresentationFamily, family_to_json
+def _synth_inputs(tmp_path) -> list[str]:
     from monogate.matrices import random_hermitian
     from monogate.paths import puncture_loops
 
@@ -198,12 +197,13 @@ def test_synth_verify_roundtrip(tmp_path, capsys):
     (tmp_path / "fam.json").write_text(json.dumps(family_to_json(targets)))
     loops = puncture_loops([0.0, 1.0], 0.5 - 1.5j, 0.3)
     (tmp_path / "loops.json").write_text(json.dumps(loops_to_json(loops)))
+    return ["--targets", str(tmp_path / "fam.json"), "--loops", str(tmp_path / "loops.json"),
+            "--points", "0", "1", "--order", "3"]
+
+
+def test_synth_verify_roundtrip(tmp_path, capsys):
     args = [
-        "synth",
-        "--targets", str(tmp_path / "fam.json"),
-        "--loops", str(tmp_path / "loops.json"),
-        "--points", "0", "1",
-        "--order", "3",
+        "synth", *_synth_inputs(tmp_path),
         "--lambda", "0.05",
         "--verify",
         "--out", str(tmp_path / "synth.json"),
@@ -374,37 +374,52 @@ def test_threads_env_ignored(capsys, monkeypatch):
         assert out == plain
 
 
-# The config keys each report listed when they were written out by hand per
-# subcommand; every report ends with the common --out and --format.
+# The command name and config keys each report listed when they were written
+# out by hand per subcommand; every config ends with the common --out and
+# --format.
 CONFIG_KEYS = [
-    (["gate", "--name", "H"], ["name"]),
-    (["paths", "braid", "--n", "3", "--i", "1"], ["n", "i"]),
-    (["paths", "pure-braid", "--n", "3", "--i", "1", "--j", "3"], ["n", "i", "j"]),
+    (["gate", "--name", "H"], "gate", ["name"]),
+    (["paths", "braid", "--n", "3", "--i", "1"], "paths braid", ["n", "i"]),
+    (
+        ["paths", "pure-braid", "--n", "3", "--i", "1", "--j", "3"],
+        "paths pure-braid",
+        ["n", "i", "j"],
+    ),
     (
         ["paths", "loop", "--basepoint", "2", "--puncture", "0", "--radius", "0.5"],
+        "paths loop",
         ["basepoint", "puncture", "radius"],
     ),
     (
         ["paths", "loops", "--punctures", "0", "1", "--basepoint", "0.5-1.5j", "--radius", "0.3"],
+        "paths loops",
         ["basepoint", "punctures", "radius"],
     ),
     (
         ["fuchsian", "monodromy", "--conn", "{dir}/conn.json", "--loops", "{dir}/loops.json"],
+        "fuchsian monodromy",
         ["conn", "loops", "tol"],
     ),
     (
         ["synth", "--targets", "{dir}/fam.json", "--loops", "{dir}/loops.json", "--points", "0", "--order", "1"],
+        "synth",
         ["targets", "loops", "points", "reference", "order", "lam", "tol", "verify", "verify_tol"],
     ),
-    (["kz", "braid", "--n", "2", "--lambda", "3"], ["n", "spin", "lam", "tol", "unitarize"]),
-    (["kz", "verify", "--n", "2", "--lambda", "3"], ["n", "spin", "lam", "tol", "relation_tol"]),
-    (["universality", "screen", "--names", "X,Z", "--maxlen", "3"], ["gates", "names", "maxlen", "budget"]),
+    (["kz", "braid", "--n", "2", "--lambda", "3"], "kz braid", ["n", "spin", "lam", "tol", "unitarize"]),
+    (["kz", "verify", "--n", "2", "--lambda", "3"], "kz verify", ["n", "spin", "lam", "tol", "relation_tol"]),
+    (
+        ["universality", "screen", "--names", "X,Z", "--maxlen", "3"],
+        "universality screen",
+        ["gates", "names", "maxlen", "budget"],
+    ),
     (
         ["universality", "coverage", "--names", "X,Z", "--maxlen", "3", "--samples", "3"],
+        "universality coverage",
         ["gates", "names", "maxlen", "eps", "samples", "seed", "budget"],
     ),
     (
         ["pipeline", "--order", "1", "--zero-targets", "--maxlen", "2", "--budget", "10"],
+        "pipeline",
         ["seed", "generators", "dim", "order", "lam", "radius", "tol",
          "verify_tol", "maxlen", "budget", "zero_targets"],
     ),
@@ -412,11 +427,11 @@ CONFIG_KEYS = [
 
 
 @pytest.mark.parametrize(
-    "argv, keys",
+    "argv, command, keys",
     CONFIG_KEYS,
-    ids=[" ".join(w for w in argv[:2] if not w.startswith("-")) for argv, _ in CONFIG_KEYS],
+    ids=[" ".join(w for w in argv[:2] if not w.startswith("-")) for argv, _, _ in CONFIG_KEYS],
 )
-def test_report_config_lists_the_subcommand_options(argv, keys, tmp_path, capsys):
+def test_report_config_lists_the_subcommand_options(argv, command, keys, tmp_path, capsys):
     conn = PointsConnection((0.0,), (np.array([[0.25]]),))
     (tmp_path / "conn.json").write_text(json.dumps(connection_to_json(conn)))
     (tmp_path / "loops.json").write_text(json.dumps(loops_to_json([generator_loop(2.0, 0.0, 0.5)])))
@@ -425,4 +440,69 @@ def test_report_config_lists_the_subcommand_options(argv, keys, tmp_path, capsys
     argv = [w.format(dir=tmp_path) for w in argv]
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "report.json"))
     assert code == 0
-    assert list(read_report(tmp_path, "report.json")["config"]) == keys + ["out", "format"]
+    report = read_report(tmp_path, "report.json")
+    # every report opens with the envelope `main` writes: command, then config
+    assert list(report)[:2] == ["command", "config"]
+    assert report["command"] == command
+    assert list(report["config"]) == keys + ["out", "format"]
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    top = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert top[:2] == [f"command: {command}", "config:"]
+    assert len(top) == len(report)
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["synth", "--verify", "--verify-tol", "1e-14"],
+         ["family", "radius_estimate", "deviations"]),
+        (["kz", "verify", "--n", "3", "--lambda", "3", "--relation-tol", "1e-20"],
+         ["deviations", "radical_dim", "quotient_dim"]),
+        (["pipeline", "--seed", "7", "--order", "2", "--verify-tol", "1e-13"],
+         ["deviations", "screen", "gates"]),
+    ],
+    ids=["synth", "kz verify", "pipeline"],
+)
+def test_verification_failure_still_prints_the_full_report(argv, body, tmp_path, capsys):
+    if argv[0] == "synth":
+        argv = argv + _synth_inputs(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    report = json.loads(out)
+    assert list(report) == ["command", "config"] + body + ["verdict"]
+    assert report["verdict"] == "deviation-above-tolerance"
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 3
+    assert out.splitlines()[-1] == "verdict: deviation-above-tolerance"
+
+
+def test_text_marks_every_list_item(capsys):
+    assert _render_text({"rows": [[1, 2], [3]], "pts": [{"re": 1.0, "im": 0.0}], "none": [],
+                         "sizes": (1, 2)}) == "\n".join([
+        "rows:",
+        "  - - 1",
+        "    - 2",
+        "  - - 3",
+        "pts:",
+        "  - re: 1.0",
+        "    im: 0.0",
+        "none: []",
+        "sizes:",
+        "  - 1",
+        "  - 2",
+    ])
+    # the three segments of a loop no longer run together, nor do matrix rows
+    code, out, _ = run(capsys, "paths", "loop", "--basepoint", "2", "--puncture", "0",
+                       "--radius", "0.5", "--format", "text")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("  - kind:")] == [
+        "  - kind: line", "  - kind: arc", "  - kind: line",
+    ]
+    code, out, _ = run(capsys, "gate", "--name", "X", "--format", "text")
+    assert "    - - re: 0.0" in out.splitlines()
+    # an empty list is written on its key's line, with no blank line after it
+    code, out, _ = run(capsys, "kz", "verify", "--n", "3", "--lambda", "3", "--format", "text")
+    assert code == 0
+    assert "  far_commutation: []" in out.splitlines()
+    assert "" not in out.splitlines()

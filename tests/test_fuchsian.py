@@ -45,9 +45,11 @@ from monogate.paths import (
 from monogate.universality import haar_su2_samples
 from oracles import (
     as_points_connection,
+    braid_word_matrix,
     chern_index,
     curvature_residual,
     invert,
+    levelt_pair,
     min_divisor_distance,
     sequential_integrate,
 )
@@ -286,6 +288,47 @@ def test_commuting_diagonal_residues():
     rep = monodromy_representation(conn, loops, 1e-11)
     assert frobenius(rep.matrices[0] - np.diag(np.exp(2j * np.pi * np.array([a1, a2])))) < 1e-9
     assert frobenius(rep.matrices[1] - np.diag(np.exp(2j * np.pi * np.array([a2, a1])))) < 1e-9
+
+
+def companion_matrix(roots) -> np.ndarray:
+    """The companion matrix of prod (t - root): ones below the diagonal,
+    minus the coefficients in the last column."""
+    coeffs = np.poly(roots)
+    d = len(roots)
+    m = np.zeros((d, d), dtype=complex)
+    m[1:, :-1] = np.eye(d - 1)
+    m[:, -1] = -coeffs[:0:-1]
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_hypergeometric_monodromy_is_levelts_companion_pair(data):
+    # Levelt (1961; Beukers & Heckman, Invent. Math. 95, 1989): a pair (a, b)
+    # with char polys prod (t - e^{2 pi i alpha}) and prod (t - e^{2 pi i
+    # beta}), no alpha - beta integer and a^-1 b - 1 of rank one, is
+    # conjugate to the pair of companion matrices, so every word in a, b
+    # (letters +-1, +-2) has the trace of the same word in the companions.
+    # Far from the identity: the exponents spread over (-0.4, 0.41).
+    d = data.draw(st.integers(2, 5), label="d")
+    gaps = data.draw(st.lists(st.floats(0.03, 0.09), min_size=2 * d - 1, max_size=2 * d - 1))
+    points = -0.4 + np.concatenate([[0.0], np.cumsum(gaps)])
+    order = data.draw(st.permutations(range(2 * d)))
+    alphas, betas = points[list(order[:d])], points[list(order[d:])]
+    a0, a1 = levelt_pair(alphas, betas)
+    # the trace gap grows with the rank-one residue: 2e-13 at norm 5, 8e-12 at 15
+    assume(np.linalg.norm(a1, 2) <= 1.5)
+    loops = x4_generator_loops((0, 1), 0.5 - 1.5j, 0.25)
+    m0, m1 = monodromy_representation(PointsConnection((0, 1), (a0, a1)), loops, 1e-10).matrices
+    got = [m0, m1 @ m0]
+    want = [companion_matrix(np.exp(2j * np.pi * alphas)), companion_matrix(np.exp(2j * np.pi * betas))]
+    words = data.draw(st.lists(
+        st.lists(st.sampled_from([1, -1, 2, -2]), min_size=6, max_size=6), min_size=10, max_size=10
+    ))
+    for word in words:
+        t_got = np.trace(braid_word_matrix(got, word))
+        t_want = np.trace(braid_word_matrix(want, word))
+        assert abs(t_got - t_want) <= 1e-9 * max(1.0, abs(t_want)), word
 
 
 def test_x4_product_relation():
