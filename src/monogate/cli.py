@@ -90,10 +90,13 @@ def _validate_args(args) -> None:
 def _render_text(obj, indent: int = 0) -> str:
     """Indented `key: value` lines.  Every list item is marked `- `, and an
     item that is itself a dict or a list starts on its marker's line; an
-    empty list is `[]`.  Tuples render as lists."""
+    empty list is `[]`.  Tuples render as lists, and None, True and False
+    as JSON writes them."""
     pad = "  " * indent
     if isinstance(obj, tuple):
         obj = list(obj)
+    if obj is None or isinstance(obj, bool):
+        return f"{pad}{json.dumps(obj)}"
     if not isinstance(obj, (dict, list)) or not obj:
         return f"{pad}{obj}"
     if isinstance(obj, list):
@@ -197,7 +200,12 @@ def _cmd_synth(args) -> tuple[int, dict]:
     loops = paths.loops_from_json(_load_json(args.loops))
     points = tuple(_parse_complex(p) for p in args.points)
     reference = None if args.reference in (None, "inf") else _parse_complex(args.reference)
-    forms = ld.DifferenceForms(points, reference=reference)
+    try:
+        forms = ld.DifferenceForms(points, reference=reference)
+    except ValueError:
+        ld.DifferenceForms(points)  # two of the points themselves coincide
+        near = min(args.points, key=lambda p: abs(_parse_complex(p) - reference))
+        raise ValueError(f"--reference {args.reference} is not separated from --points value {near}") from None
     family = ld.synthesize(targets, forms, loops, args.order, tol=args.tol)
     radius = family.radius_estimate()
     body = {

@@ -21,26 +21,27 @@ path pieces or sub-pieces, by one adaptive embedded Runge-Kutta run
 (DOP853) on the stacked (B, d, c) state.  Omega does not depend on Y, so
 each step attempt evaluates it at all 12 of its stage times in one
 contraction (`_LinearDOP853`), with scipy's steps, error rule and counters.
-A state of at most W = SMALL_STATE complex entries is stepped in real form,
-[Re Y; Im Y] under [[Re Omega, -Im Omega], [Im Omega, Re Omega]], which
-numpy multiplies about three times faster in stacks of tiny matrices.  The
-step is capped by the smallest of the members' own distances from the
-divisor, and the local tolerances are divided by sqrt(B), so every member
-keeps the error bound a solve of it alone would accept until a tolerance
-floor binds (see `_solve`).  Two schedules share that one solve:
-`transports` takes every piece of every path from I at once and multiplies
-each path's pieces afterwards (monodromy, braid half-twists); transport is
-multiplicative along a path, so while the batch stays within W entries and
-B_floor = (tol / 1e-11)^2 members it first cuts every piece into
-ceil(length / clearance) equal sub-pieces, which take a few wide steps side
-by side instead of many narrow ones in turn.  `integrate_along` carries
-given blocks whole, solving the r-th piece of every path in round r (jets,
-Chen integrals, the second arc of a full twist).  Jets and Chen integrals are
-transports of nilpotent block connections over the same forms
-(`lappo_danilevski`).  A segment is one piece unless it dips toward the
-divisor in its interior; then it is cut into pieces graded by clearance, so
-a loop that passes a pole at distance h costs O(log(1/h)) pieces of a few
-steps each rather than O(1/h) steps.
+A batch whose connection holds at most W = SMALL_STATE complex entries
+(B d^2) is stepped in real form, [Re Y; Im Y] under [[Re Omega, -Im Omega],
+[Im Omega, Re Omega]], which numpy multiplies about three times faster in
+stacks of tiny matrices.  The step is capped by the smallest of the members'
+own distances from the divisor, and the local tolerances are divided by
+sqrt(B), so every member keeps the error bound a solve of it alone would
+accept until a tolerance floor binds (see `_solve`).  One schedule feeds
+that solve (`_piece_ends`): every piece of every path starts from one given
+block.  Transport is multiplicative along a path (Chen), so while the
+batch's connection stays within W entries and B_floor = (tol / 1e-11)^2
+members every piece is first cut into ceil(length / clearance) equal
+sub-pieces, which take a few wide steps side by side instead of many narrow
+ones in turn.  `transports` multiplies each path's piece propagators from I,
+and `integrate_along` is a path's transport times a given block.  Jets and
+Chen integrals are transports of nilpotent block connections over the same
+forms (`lappo_danilevski`); a jet's connection is block-Toeplitz, so its
+pieces carry thin first block columns, composed by truncated series
+products.  A segment is one piece unless it dips toward the divisor in its
+interior; then it is cut into pieces graded by clearance, so a loop that
+passes a pole at distance h costs O(log(1/h)) pieces of a few steps each
+rather than O(1/h) steps.
 
 Composition convention: loops act on solution columns, so traversing gamma
 then delta gives M(delta) @ M(gamma).  The X_4 relation M1 M2 M3 M4 = I holds
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -104,9 +105,10 @@ MIN_CLEARANCE = 1e-9
 # Transport solves a piece whole when its clearance is at least GRADING times
 # the clearance at its ends, and halves it otherwise (`_graded_pieces`).
 GRADING = 0.5
-# W: a batch whose state holds at most this many complex entries is stepped
-# in real form (`_solve`), and `transports` cuts its pieces to their
-# clearance only while the cut batch stays within it.  Measured on one
+# W: a batch whose connection holds at most this many complex entries, B d^2,
+# is stepped in real form (`_solve`), and `_piece_ends` cuts its pieces to
+# their clearance only while the cut batch stays within it.  (A jet's state
+# is a thin column, but a step stacks 12 of its square Omega.)  Measured on one
 # `transports` call of four standard loops (12 pieces, 84 when cut; d x d
 # residues, tol 1e-10, 2-core Xeon VM, one BLAS thread), median ms of
 # whole complex / whole real / cut complex / cut real:
@@ -114,7 +116,7 @@ GRADING = 0.5
 #   d = 2:  17.8 / 13.2 /  12.7 /   7.2     d = 16:  37.6 /  29.9 /  63.6 /  82.9
 #   d = 4:  17.5 / 12.6 /  13.3 /   8.9     d = 32: 153.9 / 134.6 / 280.6 / 339.2
 # Cutting pays up to d = 4 (1,344 entries) and not from d = 8 (5,376).  Past
-# W states stay complex for memory: the n = 9 KZ gate path (8 x 126^2
+# W batches stay complex for memory: the n = 9 KZ gate path (8 x 126^2
 # entries) peaks at 449 MB RSS in real form against 251 MB.
 SMALL_STATE = 4096
 
@@ -463,14 +465,14 @@ class _LinearDOP853(DOP853):
         return True, None
 
 
-def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts=None) -> np.ndarray:
+def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts) -> np.ndarray:
     """Drive B column blocks of dY = Omega Y, one along each member, in one solve.
 
-    pieces holds (piece, clearance) pairs, each piece parametrized on [0, 1].
-    Without `cuts` every piece is one member; with them the k-th piece is cut
-    into cuts[k] equal sub-pieces, which are members in order, by scaling
-    the geometry below (no segment is built).  starts is the (B, d, c) stack
-    of start blocks, one per member, and the stack at t = 1 is returned.
+    pieces holds (piece, clearance) pairs, each piece parametrized on [0, 1];
+    the k-th piece is cut into cuts[k] equal sub-pieces, which are members in
+    order, by scaling the geometry below (no segment is built).  starts is
+    the (B, d, c) stack of start blocks, one per member, and the stack at
+    t = 1 is returned.
     `omegas(ts)` evaluates all B members at every time in ts at once:
     z = S + tD on lines and C + A e^{i theta(t)} on arcs, then one
     contraction (len(ts), B, m) @ (m, d*d), or (len(ts), B, 2m) @ (2m, 4d^2)
@@ -482,11 +484,12 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts=None) 
     DOP853.  A TransportError is raised before the first step when Omega at
     t = 0 or scipy's first step is not finite.
 
-    Real form: a state of at most SMALL_STATE (W) complex entries is carried
-    as the real (B, 2d, c) stack [Re Y; Im Y] under R(Omega) =
-    [[Re Omega, -Im Omega], [Im Omega, Re Omega]] (`Connection.contract_real`,
-    one real product), since stacks of tiny complex matrices cost ~3x their
-    real equivalent per matmul.  Larger states stay complex.
+    Real form: a batch whose connection holds at most SMALL_STATE (W)
+    complex entries, B d^2, is carried as the real (B, 2d, c) stack
+    [Re Y; Im Y] under R(Omega) = [[Re Omega, -Im Omega], [Im Omega, Re Omega]]
+    (`Connection.contract_real`, one real product), since stacks of tiny
+    complex matrices cost ~3x their real equivalent per matmul.  Larger
+    batches stay complex.
 
     Step cap: the smallest of the members' caps, 0.5 x (the piece's own
     clearance from the divisor) / speed, so no member's step can skip a pole;
@@ -501,7 +504,7 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts=None) 
     it alone would accept, until a floor binds: for B > B_floor =
     (tol / 1e-11)^2 (atol) or (tol / 3e-12)^2 (rtol), 100 and 1,111 members
     at tol 1e-10, a member's local error may exceed that bound by up to
-    sqrt(B / B_floor).  `transports` cuts pieces only while B stays within
+    sqrt(B / B_floor).  `_piece_ends` cuts pieces only while B stays within
     the smaller floor, (tol / 1e-11)^2.  In real form the RMS runs over the
     real and imaginary parts with a scale each, so a member's complex RMS may
     reach sqrt(2) times its bound.  (DOP853 multiplies that RMS by one damping factor <= 1
@@ -520,20 +523,17 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts=None) 
             theta0[k], sweep[k] = piece.theta0, piece.theta1 - piece.theta0
         else:
             origin[k], drift[k] = piece.start_point, piece.end_point - piece.start_point
-    if cuts is None:
-        cuts = [1] * len(pieces)
-    else:
-        # sub-piece j of a piece cut in n runs over [j / n, (j + 1) / n]
-        cut = np.asarray(cuts)
-        of = np.repeat(np.arange(len(pieces)), cut)
-        n = cut[of]
-        lead = (np.arange(len(of)) - np.repeat(np.cumsum(cut) - cut, cut)) / n
-        origin, drift = origin[of] + lead[:, None] * drift[of], drift[of] / n[:, None]
-        amplitude = amplitude[of]
-        theta0, sweep = theta0[of] + lead * sweep[of], sweep[of] / n
+    # sub-piece j of a piece cut in n runs over [j / n, (j + 1) / n]
+    cut = np.asarray(cuts)
+    of = np.repeat(np.arange(len(pieces)), cut)
+    n = cut[of]
+    lead = (np.arange(len(of)) - np.repeat(np.cumsum(cut) - cut, cut)) / n
+    origin, drift = origin[of] + lead[:, None] * drift[of], drift[of] / n[:, None]
+    amplitude = amplitude[of]
+    theta0, sweep = theta0[of] + lead * sweep[of], sweep[of] / n
     spin = 1j * sweep[:, None]
     d = conn.dim
-    real = starts.size <= SMALL_STATE
+    real = len(starts) * d * d <= SMALL_STATE
     contract = conn.contract_real if real else conn.contract
     state = np.concatenate([starts.real, starts.imag], axis=1) if real else starts
     shape = state.shape
@@ -569,61 +569,43 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts=None) 
     return end[:, :d] + 1j * end[:, d:] if real else end
 
 
-def integrate_along(paths, conn: Connection, y0s, tol: float) -> list[np.ndarray]:
-    """Drive given column blocks of dY = Omega Y along paths, one block per path.
-
-    Omega = `conn.contract(z, v)`; the k-th block starts at y0s[k] (conn.dim
-    rows; all blocks share one shape) and is returned at the end of paths[k]
-    in its start shape.  Round r solves the r-th piece of every path that has
-    one, all in one `_solve`, each from its path's current block.  Segments
-    that pass close to a pole in their interior are cut into pieces graded by
-    clearance (`_graded_pieces`), so their cost grows like log(1/h) in the
-    closest approach h, not like 1/h.
-    """
-    plans = _plan(conn, paths, tol)
-    y0s = [np.asarray(y0, dtype=complex) for y0 in y0s]
-    if len(y0s) != len(plans):
-        raise ValueError(f"{len(plans)} paths but {len(y0s)} start blocks")
-    states = [y0.reshape(conn.dim, -1) for y0 in y0s]
-    for r in range(max(map(len, plans), default=0)):
-        live = [k for k, plan in enumerate(plans) if r < len(plan)]
-        ends = _solve(conn, [plans[k][r] for k in live], np.stack([states[k] for k in live]), tol)
-        for k, end in zip(live, ends):
-            states[k] = end
-    return [state.reshape(y0.shape) for state, y0 in zip(states, y0s)]
-
-
-def transports(conn: Connection, paths, tol: float = 1e-10) -> list[np.ndarray]:
-    """Path-ordered exponentials: F at each path end with F(start) = I.
-
-    Every piece of every path is transported from I in one `_solve`, and each
-    path's F is the product F_P ... F_1 of its pieces' transports (Chen's
-    multiplicativity).  Each piece is cut into ceil(length / clearance) equal
-    sub-pieces that join the batch, so every member is short against its
-    distance from the divisor and the batch takes a few wide steps instead of
-    many narrow ones; but only while the cut batch stays within SMALL_STATE
-    (W) complex entries and within B_floor = (tol / 1e-11)^2 members, where
-    neither tolerance floor of `_solve` binds (100 at tol 1e-10), so cutting
-    loosens no member's error bound.  Otherwise every piece stays whole."""
+def _piece_ends(conn: Connection, paths, tol: float, start: np.ndarray) -> list[np.ndarray]:
+    """Every piece of every path transported from `start` (conn.dim rows) in
+    one `_solve`: per path, the stack of its pieces' ends in order.  Each
+    piece is cut into ceil(length / clearance) equal sub-pieces, so every
+    member is short against its distance from the divisor, while the cut
+    batch's connection stays within SMALL_STATE (W) complex entries, B d^2,
+    and within B_floor = (tol / 1e-11)^2 members, where no tolerance floor of
+    `_solve` binds (100 at tol 1e-10); otherwise every piece stays whole."""
     plans = _plan(conn, paths, tol)
     d = conn.dim
     counts = [[max(1, math.ceil(piece.max_speed() / c)) for piece, c in plan] for plan in plans]
     members = sum(map(sum, counts))
-    wide = members * d * d <= SMALL_STATE and members <= (tol / 1e-11) ** 2
-    if not wide:
+    if members * d * d > SMALL_STATE or members > (tol / 1e-11) ** 2:
         counts = [[1] * len(plan) for plan in plans]
         members = sum(map(len, plans))
-    eye = np.eye(d, dtype=complex)
     flat = [pair for plan in plans for pair in plan]
-    cuts = [k for plan in counts for k in plan] if wide else None
-    ends = iter(_solve(conn, flat, np.broadcast_to(eye, (members, d, d)), tol, cuts))
-    out = []
-    for plan in counts:
-        f = eye
-        for _ in range(sum(plan)):
-            f = next(ends) @ f
-        out.append(f)
-    return out
+    cuts = [k for plan in counts for k in plan]
+    ends = _solve(conn, flat, np.broadcast_to(start, (members, *start.shape)), tol, cuts)
+    bounds = np.cumsum([0] + [sum(plan) for plan in counts])
+    return [ends[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def transports(conn: Connection, paths, tol: float = 1e-10) -> list[np.ndarray]:
+    """Path-ordered exponentials: F at each path end with F(start) = I, the
+    product F_P ... F_1 of its pieces' transports from I (`_piece_ends`)."""
+    eye = np.eye(conn.dim, dtype=complex)
+    return [reduce(lambda f, end: end @ f, ends, eye) for ends in _piece_ends(conn, paths, tol, eye)]
+
+
+def integrate_along(paths, conn: Connection, y0s, tol: float) -> list[np.ndarray]:
+    """Given blocks (conn.dim rows) carried along paths, one per path: each
+    path's transport times its block, in the block's shape."""
+    paths, y0s = list(paths), [np.asarray(y0, dtype=complex) for y0 in y0s]
+    if len(y0s) != len(paths):
+        raise ValueError(f"{len(paths)} paths but {len(y0s)} start blocks")
+    return [(f @ y0.reshape(conn.dim, -1)).reshape(y0.shape)
+            for f, y0 in zip(transports(conn, paths, tol), y0s)]
 
 
 def transport(conn: Connection, path: PiecewisePath, tol: float = 1e-10) -> np.ndarray:

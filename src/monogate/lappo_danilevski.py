@@ -21,10 +21,12 @@ loops carried together.
 
 Nothing here has an ODE of its own (Chen, Bull. AMS 83, 1977): every
 iterated integral is a block of the transport of a nilpotent connection over
-the same forms, started from [I; 0; ...; 0].  The jet F_0 = I,
-F_r' = sum_{s<=r} Omega_s F_{r-s} is the block-Toeplitz connection with
-Omega_s on the blocks (r, r - s) (`jet_monodromy`); a word W_1 ... W_q is
-the ladder with its letters on the sub-diagonal blocks
+the same forms.  The jet F_0 = I, F_r' = sum_{s<=r} Omega_s F_{r-s} is the
+block-Toeplitz connection with Omega_s on the blocks (r, r - s)
+(`jet_monodromy`); its propagator along a piece is block-Toeplitz too, fixed
+by its thin first block column [I; F_1; ...], and a piece G after F
+composes by the truncated product (G F)_r = sum_{s<=r} G_s F_{r-s}.  A word
+W_1 ... W_q is the ladder with its letters on the sub-diagonal blocks
 (`matrix_chen_integral`), and a scalar word is the ladder of 1 x 1 one-hot
 letters (`chen_integral`).  Time ordering follows the Picard expansion of
 dF = Omega F: in a word the leftmost form is evaluated at the latest time.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuchsian import ConfigurationForms, Connection, DifferenceForms, integrate_along, transports
+from .fuchsian import ConfigurationForms, Connection, DifferenceForms, _piece_ends, transports
 from .matrices import (
     as_square_matrix,
     complex_from_json,
@@ -75,17 +77,6 @@ NORMALIZATION_TOL = 1e-6
 # Chen iterated integrals as transports of nilpotent connections.
 # ---------------------------------------------------------------------------
 
-def _first_columns(forms, blocks: np.ndarray, paths, tol: float) -> list[np.ndarray]:
-    """Transports of the connection whose coefficient on form j is the block
-    matrix blocks[j] (shape (m, N, d, N, d)) along each path, started from
-    [I; 0; ...; 0] and carried by one `integrate_along` call; returns per
-    path the N blocks of the first block column, shape (N, d, d)."""
-    m, n, d = blocks.shape[:3]
-    conn = Connection(forms, blocks.reshape(m, n * d, n * d))
-    start = np.eye(n * d, d, dtype=complex)
-    return [y.reshape(n, d, d) for y in integrate_along(paths, conn, [start] * len(paths), tol)]
-
-
 def chen_integral(forms, word, path: PiecewisePath, tol: float = 1e-10) -> complex:
     """Iterated integral of the scalar forms omega_{word[0]} ... omega_{word[-1]}.
 
@@ -115,7 +106,8 @@ def matrix_chen_integral(forms, words, path: PiecewisePath, tol: float) -> np.nd
     blocks = np.zeros((m, q + 1, d, q + 1, d), dtype=complex)
     for r, letter in enumerate(words[::-1], start=1):
         blocks[:, r, :, r - 1] = letter
-    return _first_columns(forms, blocks, [path], tol)[0][-1]
+    ladder = Connection(forms, blocks.reshape(m, (q + 1) * d, (q + 1) * d))
+    return transports(ladder, [path], tol)[0][-d:, :d]
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +277,30 @@ def jet_monodromy(family: ConnectionFamily, loops, order: int,
     The truncated jet of dF = Omega(lambda) F, F_0 = I and F_r' = sum_{s<=r}
     Omega_s F_{r-s}, is the first block column of the transport of one
     block-Toeplitz connection: Omega_s on the blocks (r, r - s) of an
-    (order + 1)-block matrix.  Returns [F_1(1), ..., F_order(1)] per loop.
+    (order + 1)-block matrix.  Every piece of every loop carries that column
+    from [I; 0; ...; 0] in one solve (`_piece_ends`); a loop's columns fold
+    by the truncated series product, one gather and one contraction per
+    piece.  Returns [F_1(1), ..., F_order(1)] per loop.
     """
     if order > family.order:
         raise ValueError("family is truncated below the requested order")
     shifts = np.array([np.eye(order + 1, k=-s) for s in range(1, order + 1)])
     series = np.array(family.coefficients, dtype=complex)[:, :order]
-    blocks = np.einsum("src,jsab->jracb", shifts, series)
-    return [list(column[1:]) for column in _first_columns(family.forms, blocks, list(loops), tol)]
+    m, d, n = len(series), family.dim, (order + 1) * family.dim
+    conn = Connection(family.forms, np.einsum("src,jsab->jracb", shifts, series).reshape(m, n, n))
+    # block (r, s) of a piece's propagator is block r - s of its column, 0 above the diagonal
+    lag = np.subtract.outer(np.arange(order + 1), np.arange(order + 1))
+    lag[lag < 0] = order + 1
+    zero = np.zeros((1, d, d), dtype=complex)
+    start = np.eye(n, d, dtype=complex)
+    out = []
+    for ends in _piece_ends(conn, list(loops), tol, start):
+        column = start.reshape(order + 1, d, d)
+        for end in ends:
+            later = np.concatenate([end.reshape(order + 1, d, d), zero])[lag]
+            column = np.einsum("rsab,sbc->rac", later, column)
+        out.append(list(column[1:]))
+    return out
 
 
 @dataclass(frozen=True)

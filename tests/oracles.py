@@ -7,7 +7,11 @@ and slower route, so tests can compare the two:
   as an explicit sum over integer compositions, one matrix Chen integral (a
   ladder connection with the orders' coefficient stacks as letters) per
   composition, 2^(k-1) - 1 solves per generator at order k, against the
-  library's single block-Toeplitz jet solve per order and loop.
+  library's single block-Toeplitz jet solve per order.
+* `toeplitz_jets`: the jets of a family as the first block column of the
+  full (K + 1) d square propagator of the block-Toeplitz jet connection
+  (`transports`), against `jet_monodromy`'s thin first block column per
+  piece composed by truncated Cauchy products.
 * `casimir_omega_via_coproduct`: the two-site Casimir coupling from the
   coproduct of the Casimir element.
 * `two_point_solution`: the closed-form solution of the n = 2 KZ system.
@@ -73,6 +77,7 @@ from scipy.linalg import expm
 from monogate.fuchsian import (
     MIN_CLEARANCE,
     BranchCutError,
+    Connection,
     DivisorContactError,
     PointsConnection,
     TransportError,
@@ -80,6 +85,7 @@ from monogate.fuchsian import (
     _segment_step_cap,
     residue_log,
     transport,
+    transports,
 )
 from monogate.gate_core import QuantumGate
 from monogate.kz import UnitarizationResult
@@ -125,6 +131,21 @@ def composition_synthesize(targets, forms, loops, order: int, tol: float = 1e-10
                     correction += matrix_chen_integral(forms, words, loops[j], tol)
             series[j].append((targets.coefficients[j][k - 1] - correction) / TWO_PI_I)
     return ConnectionFamily(forms, tuple(tuple(gen) for gen in series))
+
+
+def toeplitz_jets(family, paths, order: int, tol: float = 1e-10) -> list[list[np.ndarray]]:
+    """[F_1(1), ..., F_order(1)] of the family along each path, read off the
+    first block column of the transport of the block-Toeplitz connection
+    with Omega_s on the blocks (r, r - s), solved as a full square."""
+    series = np.array(family.coefficients, dtype=complex)[:, :order]
+    m, d = series.shape[0], family.dim
+    blocks = np.zeros((m, order + 1, d, order + 1, d), dtype=complex)
+    for s in range(1, order + 1):
+        for r in range(s, order + 1):
+            blocks[:, r, :, r - s] = series[:, s - 1]
+    n = (order + 1) * d
+    conn = Connection(family.forms, blocks.reshape(m, n, n))
+    return [list(f[:, :d].reshape(order + 1, d, d)[1:]) for f in transports(conn, paths, tol)]
 
 
 def casimir_omega_via_coproduct(vi, vj) -> np.ndarray:

@@ -235,6 +235,17 @@ def test_synth_loop_through_a_puncture_is_numeric_error(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_synth_reference_on_a_point_names_the_flag_and_value(tmp_path, capsys):
+    code, _, err = run(capsys, "synth", *_synth_inputs(tmp_path), "--reference", "1.0")
+    assert code == 1
+    assert "input error: --reference 1.0 is not separated from --points value 1" in err
+    # points that coincide among themselves are still reported by the divisor
+    code, _, err = run(capsys, "synth", *_synth_inputs(tmp_path)[:-5], "--points", "0", "0",
+                       "--order", "3", "--reference", "1")
+    assert code == 1
+    assert "--reference" not in err and "not separated" in err
+
+
 def test_kz_verify_exit_zero(capsys):
     code, out, _ = run(capsys, "kz", "verify", "--n", "3", "--lambda", "3")
     assert code == 0
@@ -475,6 +486,20 @@ def test_verification_failure_still_prints_the_full_report(argv, body, tmp_path,
     code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == 3
     assert out.splitlines()[-1] == "verdict: deviation-above-tolerance"
+
+
+def test_text_writes_null_true_and_false_as_json_does(capsys):
+    assert _render_text({"out": None, "saturated": True, "partial": False, "rows": [None, True]}) == "\n".join([
+        "out: null",
+        "saturated: true",
+        "partial: false",
+        "rows:",
+        "  - null",
+        "  - true",
+    ])
+    code, out, _ = run(capsys, "gate", "--name", "H", "--format", "text")
+    assert code == 0
+    assert "  out: null" in out.splitlines() and "None" not in out
 
 
 def test_text_marks_every_list_item(capsys):

@@ -346,9 +346,9 @@ def test_synthesize_matches_composition_sum(case):
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
 def test_synthesis_cost_is_linear_in_order(order, solve_count):
-    # 3 segments per loop: the loop normalization is checked in closed form,
-    # and each order k >= 2 carries the jets of all m loops together, one
-    # solve per segment, 3(K - 1) solves whatever m is
+    # the loop normalization is checked in closed form, and each order
+    # k >= 2 carries every piece of all m loops in one solve, K - 1 solves
+    # whatever m is
     for m in (2, 3):
         punctures = [float(k) for k in range(m)]
         loops = puncture_loops(punctures, (m - 1) / 2 - 1.5j, 0.3)
@@ -360,7 +360,7 @@ def test_synthesis_cost_is_linear_in_order(order, solve_count):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             synthesize(targets, DifferenceForms(tuple(punctures)), loops, order, tol=1e-10)
-        assert len(solve_count) == 3 * (order - 1), m
+        assert len(solve_count) == order - 1, m
 
 
 def test_loop_normalization_verified(line_forms):
@@ -513,13 +513,13 @@ def test_jet_connection_is_built_on_the_family_forms(monkeypatch, line_forms, li
     # the block-Toeplitz connection and the evaluated one reuse the family's
     # form system (and with it its divisor) instead of rebuilding it
     seen = []
-    integrate_along = lappo_danilevski.integrate_along
+    piece_ends = lappo_danilevski._piece_ends
 
-    def capturing(paths, conn, y0s, tol):
+    def capturing(conn, paths, tol, start):
         seen.append(conn)
-        return integrate_along(paths, conn, y0s, tol)
+        return piece_ends(conn, paths, tol, start)
 
-    monkeypatch.setattr(lappo_danilevski, "integrate_along", capturing)
+    monkeypatch.setattr(lappo_danilevski, "_piece_ends", capturing)
     rng = np.random.default_rng(32)
     fam = ConnectionFamily(line_forms, tuple(tuple(small_hermitian(rng) for _ in range(2)) for _ in range(2)))
     jet_monodromy(fam, line_loops, 2, 1e-8)
