@@ -17,6 +17,7 @@ import json
 import sys
 import warnings
 from dataclasses import asdict
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,18 @@ def _parse_complex(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ValueError(f"cannot parse complex number {text!r}") from exc
+
+
+def _separated_points(flag: str, texts) -> tuple[complex, ...]:
+    """The values typed for a points flag, parsed; two that the divisor
+    would not separate are an input error naming both as typed."""
+    points = tuple(_parse_complex(t) for t in texts)
+    try:
+        paths.PointsDivisor(points)
+    except ValueError:
+        a, b = min(combinations(range(len(points)), 2), key=lambda ab: abs(points[ab[0]] - points[ab[1]]))
+        raise ValueError(f"{flag} values {texts[a]} and {texts[b]} are not separated") from None
+    return points
 
 
 def _command(args) -> str:
@@ -172,7 +185,7 @@ def _cmd_paths(args) -> tuple[int, dict]:
         )
         payload = paths.path_to_json(path)
     else:  # loops: the standard generator system around several punctures
-        punctures = [_parse_complex(p) for p in args.punctures]
+        punctures = _separated_points("--punctures", args.punctures)
         loops = fuchsian.x4_generator_loops(
             punctures, _parse_complex(args.basepoint), args.radius
         )
@@ -198,12 +211,11 @@ def _cmd_fuchsian(args) -> tuple[int, dict]:
 def _cmd_synth(args) -> tuple[int, dict]:
     targets = ld.family_from_json(_load_json(args.targets))
     loops = paths.loops_from_json(_load_json(args.loops))
-    points = tuple(_parse_complex(p) for p in args.points)
+    points = _separated_points("--points", args.points)
     reference = None if args.reference in (None, "inf") else _parse_complex(args.reference)
     try:
         forms = ld.DifferenceForms(points, reference=reference)
     except ValueError:
-        ld.DifferenceForms(points)  # two of the points themselves coincide
         near = min(args.points, key=lambda p: abs(_parse_complex(p) - reference))
         raise ValueError(f"--reference {args.reference} is not separated from --points value {near}") from None
     family = ld.synthesize(targets, forms, loops, args.order, tol=args.tol)

@@ -38,10 +38,10 @@ and `integrate_along` is a path's transport times a given block.  Jets and
 Chen integrals are transports of nilpotent block connections over the same
 forms (`lappo_danilevski`); a jet's connection is block-Toeplitz, so its
 pieces carry thin first block columns, composed by truncated series
-products.  A segment is one piece unless it dips toward the divisor in its
-interior; then it is cut into pieces graded by clearance, so a loop that
-passes a pole at distance h costs O(log(1/h)) pieces of a few steps each
-rather than O(1/h) steps.
+products.  A segment is one piece while its length is at most ASPECT = 8
+times its clearance; a longer one is halved until every piece is, so a path
+that passes a pole at distance h, inside a segment or at its end, costs
+O(log(1/h)) pieces of a few steps each rather than O(1/h) steps.
 
 Composition convention: loops act on solution columns, so traversing gamma
 then delta gives M(delta) @ M(gamma).  The X_4 relation M1 M2 M3 M4 = I holds
@@ -102,9 +102,13 @@ __all__ = [
 ]
 
 MIN_CLEARANCE = 1e-9
-# Transport solves a piece whole when its clearance is at least GRADING times
-# the clearance at its ends, and halves it otherwise (`_graded_pieces`).
-GRADING = 0.5
+# Transport solves a piece whole when its length is at most ASPECT times its
+# clearance, and halves it otherwise (`_graded_pieces`).  Circles around their
+# own pole (2 pi) and the standard approach lines (up to about 7.7 at radius
+# 0.25, basepoint 1.5 below the axis) stay whole at 8; at 4 or 6 the lines
+# split and standard results move, and at 16 near-pole pieces run longer
+# (4,644 Omega evaluations per `monodromy` benchmark cycle against 4,584).
+ASPECT = 8
 # W: a batch whose connection holds at most this many complex entries, B d^2,
 # is stepped in real form (`_solve`), and `_piece_ends` cuts its pieces to
 # their clearance only while the cut batch stays within it.  (A jet's state
@@ -353,21 +357,18 @@ def _segment_step_cap(seg, clearance: float) -> float:
 def _graded_pieces(seg, clearance: float, divisor):
     """(piece, clearance) pairs covering the segment in order.
 
-    A piece whose clearance is at least GRADING times the clearance at its
-    ends is kept: its worst point is near an end, and one step cap fits all
-    of it.  Otherwise it dips toward the divisor in its interior (a line
-    threading past a pole it does not encircle) and is halved.  Arcs around
-    their own pole, approach lines ending on the pole's circle and braid
-    half-twists stay whole.  Around a dip at distance h the kept pieces are
-    about as long as their distance from the divisor, so there are
-    O(log(1/h)) of them.
+    A piece whose length is at most ASPECT times its clearance is kept, and
+    one step cap fits all of it; any other piece is halved.  Arcs around
+    their own pole, the standard approach lines and braid half-twists stay
+    whole.  Toward a close approach at distance h, whether inside a piece or
+    at its end, the kept pieces shrink geometrically to about their distance
+    from the divisor, so there are O(log(1/h)) of them, of a few steps each.
     """
     pieces = []
     stack = [(0.0, 1.0, seg, clearance)]
     while stack:
         t0, t1, piece, c = stack.pop()
-        ends = min(divisor.point_distance(piece.start_point), divisor.point_distance(piece.end_point))
-        if c >= GRADING * ends:
+        if piece.max_speed() <= ASPECT * c:
             pieces.append((piece, c))
             continue
         tm = 0.5 * (t0 + t1)

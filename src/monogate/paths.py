@@ -251,14 +251,6 @@ class PointsDivisor:
             return np.inf
         return min(seg.min_distance_to_point(s) for s in self.points)
 
-    def point_distance(self, z) -> float:
-        z = _as_point(z)
-        if z.size != 1:
-            raise ValueError("points divisor lives in C")
-        if not self.points:
-            return np.inf
-        return min(abs(complex(z[0]) - s) for s in self.points)
-
 
 @dataclass(frozen=True)
 class DiagonalDivisor:
@@ -277,13 +269,6 @@ class DiagonalDivisor:
                 d = seg.difference_curve(i, j).min_distance_to_point(0.0)
                 best = min(best, d)
         return best
-
-    def point_distance(self, z) -> float:
-        z = _as_point(z)
-        if z.size != self.n:
-            raise ValueError(f"expected a point of C^{self.n}")
-        diffs = [abs(z[i] - z[j]) for i in range(self.n) for j in range(i + 1, self.n)]
-        return min(diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +304,10 @@ def generator_loop(basepoint: complex, puncture: complex, radius: float,
 
 def puncture_loops(punctures, basepoint: complex, radius: float) -> list[PiecewisePath]:
     """One generator loop per puncture, all based at the same point."""
-    punctures = [complex(s) for s in punctures]
+    punctures = tuple(complex(s) for s in punctures)
     return [
-        generator_loop(basepoint, s, radius, avoid=tuple(t for t in punctures if t != s))
-        for s in punctures
+        generator_loop(basepoint, s, radius, avoid=punctures[:k] + punctures[k + 1:])
+        for k, s in enumerate(punctures)
     ]
 
 

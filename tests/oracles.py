@@ -52,8 +52,8 @@ library:
 
 * paths: `invert` (the reversed contour), `winding_number` (from the exact
   per-segment log increments), `min_divisor_distance` (analytic clearance of
-  a whole path) and `permutation_of_word` (the permutation under a braid
-  word);
+  a whole path), `point_distance` (the distance from a point to a divisor)
+  and `permutation_of_word` (the permutation under a braid word);
 * connections: `as_points_connection` (the simple-pole form of a
   `Connection` on difference forms), `curvature_residual` (the commutator
   [Omega(u), Omega(v)] at a point), `chern_index` (the integer trace sum
@@ -93,6 +93,7 @@ from monogate.lappo_danilevski import ConnectionFamily, jet_monodromy, matrix_ch
 from monogate.matrices import as_square_matrix, frobenius, unitarity_defect
 from monogate.paths import (
     ArcSegment,
+    DiagonalDivisor,
     LineSegment,
     PiecewisePath,
     braid_word_path,
@@ -430,6 +431,19 @@ def min_divisor_distance(path: PiecewisePath, divisor) -> float:
     return min(divisor.segment_distance(seg) for seg in path.segments)
 
 
+def point_distance(divisor, z) -> float:
+    """Distance from a point to a `PointsDivisor` (in C) or a
+    `DiagonalDivisor` (min |z_i - z_j| in C^n)."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if isinstance(divisor, DiagonalDivisor):
+        if z.shape != (divisor.n,):
+            raise ValueError(f"expected a point of C^{divisor.n}")
+        return min(abs(z[i] - z[j]) for i, j in combinations(range(divisor.n), 2))
+    if z.shape != (1,):
+        raise ValueError("points divisor lives in C")
+    return min((abs(z[0] - s) for s in divisor.points), default=np.inf)
+
+
 def permutation_of_word(n: int, word) -> list[int]:
     """Image of (1..n) under the word's underlying permutation."""
     v = list(range(1, n + 1))
@@ -466,8 +480,9 @@ def curvature_residual(conn, point, u, v) -> float:
     point = np.atleast_1d(np.asarray(point, dtype=complex))
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     v = np.atleast_1d(np.asarray(v, dtype=complex))
-    if conn.divisor.point_distance(point) <= MIN_CLEARANCE:
-        raise DivisorContactError(conn.divisor.point_distance(point))
+    closest = point_distance(conn.divisor, point)
+    if closest <= MIN_CLEARANCE:
+        raise DivisorContactError(closest)
     a = conn.contract(point, u)
     b = conn.contract(point, v)
     return frobenius(a @ b - b @ a)
@@ -549,8 +564,8 @@ def sequential_integrate(path, conn, y0, tol: float) -> np.ndarray:
     number of columns) and is returned at the path end in y0's shape.  The
     local solver tolerance sits two orders below `tol`.  Each piece is one
     solve whose step is capped at 0.5 x (the piece's own clearance from the
-    divisor) / speed, so no step can skip a pole.  Segments that pass close
-    to a pole in their interior are cut into pieces graded by clearance
+    divisor) / speed, so no step can skip a pole.  Segments longer than
+    ASPECT times their clearance are halved into pieces graded by clearance
     (`_graded_pieces`), so their cost grows like log(1/h) in the closest
     approach h, not like 1/h.
     """

@@ -239,11 +239,20 @@ def test_synth_reference_on_a_point_names_the_flag_and_value(tmp_path, capsys):
     code, _, err = run(capsys, "synth", *_synth_inputs(tmp_path), "--reference", "1.0")
     assert code == 1
     assert "input error: --reference 1.0 is not separated from --points value 1" in err
-    # points that coincide among themselves are still reported by the divisor
+    # points that coincide among themselves are named by the values typed
     code, _, err = run(capsys, "synth", *_synth_inputs(tmp_path)[:-5], "--points", "0", "0",
                        "--order", "3", "--reference", "1")
     assert code == 1
-    assert "--reference" not in err and "not separated" in err
+    assert "input error: --points values 0 and 0 are not separated" in err
+
+
+def test_paths_loops_rejects_coincident_punctures(tmp_path, capsys):
+    out = tmp_path / "loops.json"
+    code, _, err = run(capsys, "paths", "loops", "--punctures", "0", "0.0+0j",
+                       "--basepoint", "0.5-1j", "--radius", "0.3", "--out", str(out))
+    assert code == 1
+    assert "input error: --punctures values 0 and 0.0+0j are not separated" in err
+    assert not out.exists()
 
 
 def test_kz_verify_exit_zero(capsys):

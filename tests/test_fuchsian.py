@@ -243,6 +243,37 @@ def test_near_pole_cost_grows_like_log(monkeypatch):
     assert abs(m[0, 0] - np.exp(2j * np.pi * 0.3)) <= 1e-10
 
 
+# Close-approach sweeps, largest distance first: the residue dimension, the
+# distances, and the path at each distance.
+CLOSE_APPROACHES = {
+    # the approach line of a generator loop ends at distance r from its pole
+    "loop_radius": (2, (1e-1, 1e-2, 1e-3, 1e-4),
+                    lambda r: x4_generator_loops((0.0, 1.0), 0.5 - 1.5j, r)[0]),
+    # a line passes the pole at 1 at its midpoint, at distance h
+    "midpoint_line": (3, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+                      lambda h: PiecewisePath((LineSegment(np.array([0.6 - 1j * h]), np.array([1.4 - 1j * h])),))),
+}
+
+
+@pytest.mark.parametrize("sweep", CLOSE_APPROACHES)
+def test_close_approaches_cost_about_as_much_as_far_ones(monkeypatch, sweep):
+    calls = count_omega_evaluations(monkeypatch)
+    d, distances, path_at = CLOSE_APPROACHES[sweep]
+    g = np.random.default_rng(5).standard_normal((d, d, 2)) @ np.array([1.0, 1j])
+    a = 0.3 * g / np.linalg.norm(g)
+    conn = PointsConnection((0.0, 1.0), (a, -a))
+    evals = []
+    for distance in distances:
+        path = path_at(distance)
+        # the residues commute, so the transport is expm of the residues
+        # times the form periods
+        truth = expm(np.tensordot(conn.forms.periods(path), conn.coefficients, 1))
+        calls.clear()
+        assert np.abs(transport(conn, path, 1e-10) - truth).max() <= 1e-9
+        evals.append(len(calls))
+    assert evals[-1] <= 2 * evals[0], evals
+
+
 def test_uniform_clearance_segments_are_single_solves(monkeypatch):
     calls = record_solves(monkeypatch)
     conn = PointsConnection((0.0, 1.0), (np.array([[0.3]]), np.array([[-0.3]])))

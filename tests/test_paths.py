@@ -28,6 +28,7 @@ from oracles import (
     numpy_point_to_arc_distance,
     numpy_point_to_segment_distance,
     permutation_of_word,
+    point_distance,
     sample_path,
     winding_number,
 )
@@ -35,7 +36,7 @@ from oracles import (
 
 def sampled_divisor_distance(path, divisor, per_segment=2000):
     pts = sample_path(path, per_segment)
-    return min(divisor.point_distance(p) for p in pts)
+    return min(point_distance(divisor, p) for p in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +118,13 @@ def test_concat_of_four_generator_loops_winds_once_each():
     total = PiecewisePath(sum((p.segments for p in loops), ()))
     for s in punctures:
         assert abs(winding_number(total, s) - 1.0) < 1e-6
+
+
+def test_puncture_loops_reject_coincident_punctures():
+    # each loop avoids the other punctures by position, so a repeated value
+    # is one the loop must avoid, not one it may leave out
+    with pytest.raises(ValueError, match="too large"):
+        puncture_loops([0.0, 0.0], 0.5 - 1j, 0.3)
 
 
 def test_double_invert_restores_segments():
