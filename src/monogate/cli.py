@@ -4,7 +4,8 @@ modules.
 Subcommands: gate, paths, fuchsian, synth, kz, universality, pipeline.
 Each handler `_cmd_*` returns (exit status, report body); `main` alone opens
 every report with its `command` and `config` and emits it once, as JSON or
-as indented text.  Reports are bit-identical across runs for a fixed seed.
+as indented text.  Reports are bit-identical across runs for a fixed seed
+and a fixed BLAS thread count; another thread count may move the last bits.
 Exit codes: 0 success, 1 input validation, 2 numerical failure (divisor
 contact, non-convergence), 3 verification deviation above tolerance.
 """

@@ -18,9 +18,11 @@ wire format names three variants, `points`, `differences` and
 Every ODE in the package is one call of `_solve`: it drives a batch of
 column blocks Y of dY = Omega(gamma(t)) gamma'(t) Y dt, one along each of B
 path pieces or sub-pieces, by one adaptive embedded Runge-Kutta run
-(DOP853) on the stacked (B, d, c) state.  Omega does not depend on Y, so
-each step attempt evaluates it at all 12 of its stage times in one
-contraction (`_LinearDOP853`), with scipy's steps, error rule and counters.
+(DOP853, `solve_ivp`, this module's own step loop) on the stacked (B, d, c)
+state.  Omega does not depend on Y, so each step attempt evaluates it at
+all 12 of its stage times in one contraction; the steps, the error rule and
+the evaluation count are those of scipy's DOP853, and only the accepted
+times and the current state are kept.
 A batch whose connection holds at most W = SMALL_STATE complex entries
 (B d^2) is stepped in real form, [Re Y; Im Y] under [[Re Omega, -Im Omega],
 [Im Omega, Re Omega]], which numpy multiplies about three times faster in
@@ -55,10 +57,9 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.linalg import schur
 
 from .matrices import (
@@ -121,7 +122,7 @@ ASPECT = 8
 #   d = 4:  17.5 / 12.6 /  13.3 /   8.9     d = 32: 153.9 / 134.6 / 280.6 / 339.2
 # Cutting pays up to d = 4 (1,344 entries) and not from d = 8 (5,376).  Past
 # W batches stay complex for memory: the n = 9 KZ gate path (8 x 126^2
-# entries) peaks at 449 MB RSS in real form against 251 MB.
+# entries) peaks at 389 MB RSS in real form against 159 MB.
 SMALL_STATE = 4096
 
 
@@ -400,70 +401,165 @@ def _plan(conn: Connection, paths, tol: float) -> list[list]:
     return plans
 
 
-class _LinearDOP853(DOP853):
-    """scipy's DOP853 for a linear system y' = Omega(t) y: Omega at the 12
-    times of a step attempt (its stages after the first, then t + h) comes
-    from one call omegas(times) -> (12, B, d, d); y is the flattened (B, d, c)
-    state of the given `shape`.  Step control is scipy's
-    `RungeKutta._step_impl` with the same arithmetic, and `nfev` counts Omega
-    evaluations, so the steps, the counters and the results are those of the
-    stock stepper."""
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5; the
+# coefficients of their dop853.f to double precision): the stage nodes
+# C_1 ... C_11 (C_0 = 0), the rows A_s[:s] below the diagonal, the weights B
+# of the order-8 solution, and the weights E5 and E3 of the order-5 and
+# order-3 error estimates over the 12 stages and f at the new point.
+_C = np.array([
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0,
+])
+_A = np.array([row + [0] * (12 - len(row)) for row in [
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+]], dtype=float)
+_B = np.array([
+    0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+])
+_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0,
+])
+_E3 = np.array([
+    -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0,
+])
+# Step control: the next step is h (SAFETY / err^(1/8)), kept within
+# [MIN_FACTOR, MAX_FACTOR] h (and at most h after a rejection).
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 
-    # Stage times after t, in units of h.
-    NODES = np.append(DOP853.C[1:], 1.0)
 
-    def __init__(self, fun, t0, y0, t_bound, omegas, shape, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.omegas, self.shape = omegas, shape
+class _Solution(NamedTuple):
+    """A solve's outcome: every accepted time (t[0] the start), the final
+    state as one column, the Omega evaluations, and status 0 (reached the
+    end) or -1 (failed, with the reason in `message`)."""
 
-    def _stages(self, t, y, h):
-        """scipy's `rk_step`, Omega first: (y_new, f_new), stages in self.K."""
-        omega = self.omegas(t + self.NODES * h)
-        self.nfev += len(omega)
-        K = self.K
-        K[0] = self.f
-        for s, (a, w) in enumerate(zip(self.A[1:], omega), start=1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = np.matmul(w, (y + dy).reshape(self.shape)).reshape(-1)
-        y_new = y + h * np.dot(K[:-1].T, self.B)
-        f_new = np.matmul(omega[-1], y_new.reshape(self.shape)).reshape(-1)
-        K[-1] = f_new
-        return y_new, f_new
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    status: int
+    message: str
 
-    def _step_impl(self):
-        if not math.isfinite(self.h_abs):
-            # scipy's start-up step from a NaN rate; no attempt would end
-            return False, "the first step is not finite"
-        t, y = self.t, self.y
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
+    @property
+    def success(self) -> bool:
+        return self.status >= 0
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """DOP853's error norm: the RMS of the order-5 estimate over scale,
+    damped by the order-3 estimate."""
+    err5 = np.dot(K.T, _E5) / scale
+    err3 = np.dot(K.T, _E3) / scale
+    err5_2, err3_2 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
+    if err5_2 == 0 and err3_2 == 0:
+        return 0.0
+    return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
+    """The start-up step of Hairer, Norsett & Wanner (sec. II.4) for an error
+    estimate of order 7, from one more evaluation of fun."""
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval, max_step)
+
+
+def _attempt(omega, shape, K, y, f, h):
+    """One DOP853 step of h from (y, f) under Omega at the 12 stage times:
+    (y_new, f_new), with the stages in K for the error estimate."""
+    K[0] = f
+    for s, w in enumerate(omega[:-1], start=1):
+        dy = np.dot(K[:s].T, _A[s, :s]) * h
+        K[s] = np.matmul(w, (y + dy).reshape(shape)).reshape(-1)
+    y_new = y + h * np.dot(K[:-1].T, _B)
+    K[-1] = f_new = np.matmul(omega[-1], y_new.reshape(shape)).reshape(-1)
+    return y_new, f_new
+
+
+def solve_ivp(fun, t_span, y0, *, omegas, shape, rtol, atol, max_step) -> _Solution:
+    """DOP853 forward over t_span for the linear system y' = Omega(t) y.
+
+    y0 is the flattened state of the given `shape`; omegas(times) gives
+    Omega at every time in times, one stack per time, and fun(t, y) is
+    Omega(t) y flattened.  fun serves the two start-up evaluations; each
+    step attempt then takes one `omegas` call for its 12 stage times
+    (t + C_s h, then t + h) and runs the stage recursion as matmuls.  Steps
+    are capped by max_step and accepted when `_error_norm` <= 1 against
+    atol + rtol max(|y|, |y_new|).  Only the accepted times and the current
+    state are kept.  `nfev` counts Omega evaluations: 2 + 12 per attempt.
+    """
+    t, t_bound = map(float, t_span)
+    y, f = y0, fun(t, y0)
+    h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
+    nfev, times = 2, [t]
+    stage_times = np.append(_C, 1.0)
+    K = np.empty((13, y.size), dtype=y.dtype)
+
+    def failed(message):
+        return _Solution(np.array(times), y[:, None], nfev, -1, message)
+
+    if not math.isfinite(h_abs):
+        # from a NaN rate the start-up step is NaN; no attempt would end
+        return failed("the first step is not finite")
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
             h_abs = min_step
-        else:
-            h_abs = self.h_abs
-        step_rejected = False
+        rejected = False
         while True:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs * self.direction
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
+                return failed("Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = self._stages(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._estimate_error_norm(self.K, h, scale)
+            y_new, f_new = _attempt(omegas(t + stage_times * h), shape, K, y, f, h)
+            nfev += len(stage_times)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K, h, scale)
             if error_norm < 1:
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
-            step_rejected = True
-        factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
-        if step_rejected:
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** (-1 / 8))
+            rejected = True
+        factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** (-1 / 8))
+        if rejected:
             factor = min(1, factor)
-        self.h_previous, self.y_old = h, y
-        self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs * factor, f_new
-        return True, None
+        t, y, f, h_abs = t_new, y_new, f_new, h_abs * factor
+        times.append(t)
+    return _Solution(np.array(times), y[:, None], nfev, 0,
+                     "The solver successfully reached the end of the integration interval.")
 
 
 def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts) -> np.ndarray:
@@ -477,13 +573,14 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts) -> np
     `omegas(ts)` evaluates all B members at every time in ts at once:
     z = S + tD on lines and C + A e^{i theta(t)} on arcs, then one
     contraction (len(ts), B, m) @ (m, d*d), or (len(ts), B, 2m) @ (2m, 4d^2)
-    in real form (below).  A step attempt takes one
-    `omegas` call for its 12 stage times, then its stages are batched matmuls
-    with the state (`_LinearDOP853`); `rhs(t, y)` serves only scipy's two
-    start-up evaluations.  The steps, the error rule, the step cap, the
-    floors below and `nfev` (Omega evaluations) are those of scipy's own
-    DOP853.  A TransportError is raised before the first step when Omega at
-    t = 0 or scipy's first step is not finite.
+    in real form (below).  The run is `solve_ivp`, this module's DOP853
+    loop: a step attempt takes one `omegas` call for its 12 stage times,
+    then its stages are batched matmuls with the state; `rhs(t, y)` serves
+    only the two start-up evaluations.  The steps, the error rule, the
+    floors below and `nfev` (Omega evaluations) are those of scipy's stock
+    DOP853 given the same tolerances and step cap, and only the end state
+    is kept.  A TransportError is raised before the first step when Omega
+    at t = 0 or the start-up step is not finite.
 
     Real form: a batch whose connection holds at most SMALL_STATE (W)
     complex entries, B d^2, is carried as the real (B, 2d, c) stack
@@ -498,7 +595,7 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts) -> np
 
     Error rule: the local tolerances sit two orders below `tol` for one
     member and are divided by sqrt(B) for a batch of B members, sub-pieces
-    counted (floors 3e-14 and 1e-14).  scipy accepts a step when the RMS of
+    counted (floors 3e-14 and 1e-14).  DOP853 accepts a step when the RMS of
     err / scale over all state entries is at most 1; with scale / sqrt(B)
     that RMS is the 2-norm of the members' own RMS values, at least the
     largest of them, so every member keeps the local error bound a solve of
@@ -557,7 +654,6 @@ def _solve(conn: Connection, pieces, starts: np.ndarray, tol: float, cuts) -> np
         rhs,
         (0.0, 1.0),
         state.reshape(-1),
-        method=_LinearDOP853,
         rtol=max(tol * 1e-2 / root_b, 3e-14),
         atol=max(tol * 1e-3 / root_b, 1e-14),
         max_step=min(_segment_step_cap(piece, c * k) for (piece, c), k in zip(pieces, cuts)),

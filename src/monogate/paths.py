@@ -289,6 +289,8 @@ def generator_loop(basepoint: complex, puncture: complex, radius: float,
     if abs(basepoint - puncture) <= radius:
         raise ValueError("basepoint lies inside the circle around the puncture")
     for other in avoid:
+        if complex(other) == puncture:
+            raise ValueError(f"the puncture at {puncture} coincides with one it must avoid")
         if 2 * radius >= abs(complex(other) - puncture):
             raise ValueError(
                 f"radius {radius} too large: would approach the puncture at {other}"

@@ -8,6 +8,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.integrate import solve_ivp as stock_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.linalg import expm
 
 from monogate.fuchsian import (
@@ -893,12 +895,21 @@ def twin_solves(monkeypatch):
         sol = solve_ivp(fun, t_span, y0, **kwargs)
         used = len(calls)
         stock = {k: v for k, v in kwargs.items() if k not in ("omegas", "shape")}
-        runs.append((sol, used, solve_ivp(fun, t_span, y0, **{**stock, "method": "DOP853"})))
+        runs.append((sol, used, stock_solve_ivp(fun, t_span, y0, **stock, method="DOP853")))
         return sol
 
     monkeypatch.setattr(Connection, "contract", counted)
     monkeypatch.setattr(fuchsian, "solve_ivp", twin)
     return runs
+
+
+def test_the_tableau_is_scipys_dop853():
+    c = dop853_coefficients
+    assert np.array_equal(fuchsian._A[1:12, :12], c.A[1:12, :12])
+    assert np.array_equal(fuchsian._B, c.B)
+    assert np.array_equal(fuchsian._C, c.C[1:12])
+    assert np.array_equal(fuchsian._E3, c.E3)
+    assert np.array_equal(fuchsian._E5, c.E5)
 
 
 def assert_stock_steps(runs):
@@ -950,7 +961,7 @@ def test_batched_stepper_takes_the_stock_steps_on_jets(monkeypatch):
 
 def test_one_contraction_per_step_attempt(monkeypatch):
     # the 12 stage connections of an attempt are one Omega evaluation; only
-    # scipy's two start-up evaluations are single.  The first batch is too
+    # the two start-up evaluations are single.  The first batch is too
     # large to cut and has rejected attempts, the second is cut.
     evaluations = count_omega_evaluations(monkeypatch)
     runs = []
@@ -1005,17 +1016,22 @@ def test_omega_overflowing_at_a_piece_start_exits_2(tmp_path, tol):
 
 
 def test_a_nan_first_step_fails_the_solve():
-    # scipy's start-up step from a NaN rate is NaN, and every attempt at a
+    # the start-up step from a NaN rate is NaN, and every attempt at a
     # NaN step would be rejected without end
     proc = run_python(["-c", "\n".join([
         "import numpy as np",
         "from monogate import fuchsian",
         "sol = fuchsian.solve_ivp(lambda t, y: np.full(1, np.nan), (0.0, 1.0), np.ones(1),",
-        "    method=fuchsian._LinearDOP853, omegas=lambda ts: np.full((len(ts), 1, 1, 1), np.nan),",
+        "    omegas=lambda ts: np.full((len(ts), 1, 1, 1), np.nan),",
         "    shape=(1, 1, 1), rtol=1e-12, atol=1e-13, max_step=1.0)",
         "print(sol.status, sol.message)",
     ])])
     assert proc.stdout.strip() == "-1 the first step is not finite", proc.stderr
+
+
+def test_the_cli_does_not_load_scipy_integrate():
+    proc = run_python(["-c", "import sys, monogate.cli; print('scipy.integrate' in sys.modules)"])
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -122,8 +122,9 @@ def test_concat_of_four_generator_loops_winds_once_each():
 
 def test_puncture_loops_reject_coincident_punctures():
     # each loop avoids the other punctures by position, so a repeated value
-    # is one the loop must avoid, not one it may leave out
-    with pytest.raises(ValueError, match="too large"):
+    # is one the loop must avoid, not one it may leave out; no radius
+    # separates it, so the message names the coincidence, not the radius
+    with pytest.raises(ValueError, match="the puncture at 0j coincides with one it must avoid"):
         puncture_loops([0.0, 0.0], 0.5 - 1j, 0.3)
 
 
